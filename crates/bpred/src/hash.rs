@@ -60,12 +60,53 @@ pub type AddrHashBuilder = BuildHasherDefault<AddrHasher>;
 /// this helper keeps all predictor hashing on the single deterministic
 /// hash family instead of growing ad-hoc mixers per table.
 #[inline]
-pub(crate) fn hash_words(words: &[u64]) -> u64 {
+pub fn hash_words(words: &[u64]) -> u64 {
     let mut h = AddrHasher::default();
     for &w in words {
         h.write_u64(w);
     }
     h.finish()
+}
+
+/// A [`hash_words`] stream with its leading words already absorbed.
+///
+/// The tagged-table predictors hash many tuples that start with the same
+/// word (the branch address) on every event. Absorbing that word once and
+/// resuming from the saved state yields exactly
+/// `hash_words(&[prefix.., rest..])` while skipping the shared multiply.
+///
+/// # Examples
+///
+/// ```
+/// use ivm_bpred::{hash_words, HashPrefix};
+///
+/// let branch = HashPrefix::new(&[0x40]);
+/// assert_eq!(branch.hash(&[7, 1]), hash_words(&[0x40, 7, 1]));
+/// assert_eq!(branch.hash(&[]), hash_words(&[0x40]));
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct HashPrefix(u64);
+
+impl HashPrefix {
+    /// Absorbs the leading `words` of a [`hash_words`] stream.
+    #[inline]
+    pub fn new(words: &[u64]) -> Self {
+        let mut h = AddrHasher::default();
+        for &w in words {
+            h.write_u64(w);
+        }
+        HashPrefix(h.0)
+    }
+
+    /// Finishes the stream with the remaining `words`.
+    #[inline]
+    pub fn hash(self, words: &[u64]) -> u64 {
+        let mut h = AddrHasher(self.0);
+        for &w in words {
+            h.write_u64(w);
+        }
+        h.finish()
+    }
 }
 
 /// A `HashMap` keyed by branch address with the fast deterministic hash.

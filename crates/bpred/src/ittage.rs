@@ -20,7 +20,7 @@
 //! family via one shared helper; there are no ad-hoc hash mixers here.
 
 use crate::folded::{FoldedHistory, GlobalHistory};
-use crate::hash::hash_words;
+use crate::hash::{hash_words, HashPrefix};
 use crate::{Addr, IndirectPredictor};
 
 /// How many history bits each dispatch event contributes. Interpreter
@@ -45,9 +45,12 @@ pub struct IttageConfig {
     pub table_bits: u32,
     /// Width of the partial tags stored in tagged entries.
     pub tag_bits: u32,
-    /// Shortest tagged-table history length, in bits.
+    /// Shortest tagged-table history length, in bits. Each dispatch
+    /// pushes two history bits, so a table covers half as many
+    /// dispatches as its length.
     pub min_history: usize,
-    /// Longest tagged-table history length, in bits.
+    /// Longest tagged-table history length, in bits (`max_history / 2`
+    /// dispatches). The global history ring holds exactly this many.
     pub max_history: usize,
     /// Number of tagged tables (geometrically spaced histories).
     pub tables: usize,
@@ -117,7 +120,7 @@ impl IttageConfig {
         }
     }
 
-    /// The geometric history length of tagged table `i` (0-based,
+    /// The geometric history length in bits of tagged table `i` (0-based,
     /// shortest first): `min * (max/min)^(i/(tables-1))`, rounded, and
     /// forced strictly increasing.
     pub fn history_lengths(&self) -> Vec<usize> {
@@ -145,16 +148,9 @@ impl Default for IttageConfig {
     }
 }
 
-/// One tagged-table entry: partial tag, predicted target, 2-bit
-/// confidence and 2-bit usefulness.
-#[derive(Debug, Clone, Copy, Default)]
-struct TaggedEntry {
-    valid: bool,
-    tag: u64,
-    target: Addr,
-    ctr: u8,
-    useful: u8,
-}
+/// The valid flag folded into a stored tag (tags are at most 32 bits),
+/// so an empty slot (stored as 0) never matches a probe.
+const VALID: u64 = 1 << 32;
 
 /// Which component supplied the final prediction for one event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -211,7 +207,7 @@ impl IttageBreakdown {
 
 /// Per-table folded-history state: one fold for the index and two
 /// differently-sized folds for the tag (the standard TAGE trick to keep
-/// tag and index decorrelated).
+/// tag and index decorrelated). All three fold the same number of bits.
 #[derive(Debug, Clone)]
 struct TableHistory {
     index_fold: FoldedHistory,
@@ -241,11 +237,20 @@ pub struct Ittage {
     config: IttageConfig,
     lengths: Vec<usize>,
     base: Vec<Option<Addr>>,
-    tables: Vec<Vec<TaggedEntry>>,
+    /// The tagged tables as flat struct-of-arrays storage: table `t`'s
+    /// entry `i` lives at `t << table_bits | i` in every array.
+    /// Partial tags with [`VALID`] set; 0 marks an empty slot.
+    tags: Vec<u64>,
+    targets: Vec<Addr>,
+    /// 2-bit confidence counters.
+    ctr: Vec<u8>,
+    /// 2-bit usefulness counters.
+    useful: Vec<u8>,
     history: GlobalHistory,
     folds: Vec<TableHistory>,
     use_alt_on_na: i8,
-    events: u64,
+    /// Predictions left until the next usefulness aging.
+    until_aging: u64,
     /// Alternates between clearing the high and low usefulness bit on
     /// successive aging epochs (Seznec's scheme, made deterministic).
     age_phase: bool,
@@ -274,14 +279,21 @@ impl Ittage {
                 tag_fold_b: FoldedHistory::new(l, (config.tag_bits as usize).max(2) - 1),
             })
             .collect();
+        // History lengths count bits, and no fold reads past age
+        // `length - 1`, so the longest table's length is all the ring
+        // must hold.
         let max_len = *lengths.last().expect("at least one table");
+        let entries = config.tables << config.table_bits;
         Self {
             base: vec![None; 1 << config.base_bits],
-            tables: vec![vec![TaggedEntry::default(); 1 << config.table_bits]; config.tables],
-            history: GlobalHistory::new(max_len * BITS_PER_EVENT),
+            tags: vec![0; entries],
+            targets: vec![0; entries],
+            ctr: vec![0; entries],
+            useful: vec![0; entries],
+            history: GlobalHistory::new(max_len),
             folds,
             use_alt_on_na: 0,
-            events: 0,
+            until_aging: config.useful_reset_period,
             age_phase: false,
             breakdown: IttageBreakdown::new(config.tables),
             config,
@@ -294,7 +306,8 @@ impl Ittage {
         self.config
     }
 
-    /// The realised geometric history lengths, shortest table first.
+    /// The realised geometric history lengths in bits, shortest table
+    /// first.
     pub fn history_lengths(&self) -> &[usize] {
         &self.lengths
     }
@@ -305,52 +318,25 @@ impl Ittage {
         &self.breakdown
     }
 
-    fn base_index(&self, branch: Addr) -> usize {
-        let mask = (1u64 << self.config.base_bits) - 1;
-        (hash_words(&[branch]) & mask) as usize
-    }
-
-    fn table_index(&self, table: usize, branch: Addr) -> usize {
-        let mask = (1u64 << self.config.table_bits) - 1;
-        let fold = self.folds[table].index_fold.value();
-        (hash_words(&[branch, fold, table as u64]) & mask) as usize
-    }
-
-    fn table_tag(&self, table: usize, branch: Addr) -> u64 {
-        let mask = (1u64 << self.config.tag_bits) - 1;
-        let f = &self.folds[table];
-        let folded = f.tag_fold_a.value() ^ (f.tag_fold_b.value() << 1);
-        hash_words(&[branch, folded, 0x100 | table as u64]) & mask
-    }
-
     /// Pushes one dispatch event into the global history and keeps every
     /// fold in sync. Each event contributes [`BITS_PER_EVENT`] hashed
     /// bits of the observed target, drawn from the hash's *high* end —
     /// a multiply-based hash mixes poorly into its low bits (bit 0 of
     /// `v * K` is bit 0 of `v` for odd `K`), and nearby targets sharing
-    /// low hash bits would collapse the history to a constant.
+    /// low hash bits would collapse the history to a constant. Both bits
+    /// fold in one step, and a table's three folds share its two
+    /// outgoing bits.
     fn push_history(&mut self, target: Addr) {
         let hashed = hash_words(&[target]) >> (64 - BITS_PER_EVENT);
-        for b in 0..BITS_PER_EVENT {
-            let bit = (hashed >> b) & 1 != 0;
-            // Read every fold's outgoing bit before the ring advances.
-            // Fixed-size scratch (tables <= 16) keeps the per-event hot
-            // path allocation-free.
-            let mut outgoing = [(false, false, false); 16];
-            for (out, f) in outgoing.iter_mut().zip(&self.folds) {
-                *out = (
-                    self.history.bit(f.index_fold.length() - 1),
-                    self.history.bit(f.tag_fold_a.length() - 1),
-                    self.history.bit(f.tag_fold_b.length() - 1),
-                );
-            }
-            self.history.push(bit);
-            for (f, &(out_i, out_a, out_b)) in self.folds.iter_mut().zip(outgoing.iter()) {
-                f.index_fold.update(bit, out_i);
-                f.tag_fold_a.update(bit, out_a);
-                f.tag_fold_b.update(bit, out_b);
-            }
+        let (first, second) = (hashed & 1 != 0, hashed & 2 != 0);
+        for f in &mut self.folds {
+            let step = self.history.step2(f.index_fold.length(), first, second);
+            f.index_fold.update2(step);
+            f.tag_fold_a.update2(step);
+            f.tag_fold_b.update2(step);
         }
+        self.history.push(first);
+        self.history.push(second);
     }
 
     /// Periodically ages all usefulness counters by clearing one of the
@@ -359,29 +345,38 @@ impl Ittage {
     fn age_usefulness(&mut self) {
         let clear = if self.age_phase { 0b10 } else { 0b01 };
         self.age_phase = !self.age_phase;
-        for table in &mut self.tables {
-            for e in table.iter_mut() {
-                e.useful &= !clear;
-            }
+        for u in &mut self.useful {
+            *u &= !clear;
         }
     }
 }
 
 impl IndirectPredictor for Ittage {
     fn predict_and_update(&mut self, branch: Addr, target: Addr) -> bool {
+        let cfg = &self.config;
+        // Every index and tag hashes a tuple that starts with the branch.
+        let prefix = HashPrefix::new(&[branch]);
+        let index_mask = (1u64 << cfg.table_bits) - 1;
+        let tag_mask = (1u64 << cfg.tag_bits) - 1;
+
         // --- Predict: find provider (longest matching) and alternate. ---
         // Fixed-size scratch (tables <= 16): no per-event allocation.
-        let mut indices = [0usize; 16];
+        // `slots[t]` is table t's probed entry in the flat arrays and
+        // `tags[t]` its expected stored tag.
+        let mut slots = [0usize; 16];
         let mut tags = [0u64; 16];
-        for t in 0..self.config.tables {
-            indices[t] = self.table_index(t, branch);
-            tags[t] = self.table_tag(t, branch);
+        for (t, ((slot, tag), f)) in slots.iter_mut().zip(&mut tags).zip(&self.folds).enumerate() {
+            let t = t as u64;
+            let index = prefix.hash(&[f.index_fold.value(), t]) & index_mask;
+            *slot = ((t << cfg.table_bits) | index) as usize;
+            let folded = f.tag_fold_a.value() ^ (f.tag_fold_b.value() << 1);
+            *tag = (prefix.hash(&[folded, 0x100 | t]) & tag_mask) | VALID;
         }
+        let tables = cfg.tables;
         let mut provider: Option<usize> = None;
         let mut alt: Option<usize> = None;
-        for t in (0..self.config.tables).rev() {
-            let e = &self.tables[t][indices[t]];
-            if e.valid && e.tag == tags[t] {
+        for t in (0..tables).rev() {
+            if self.tags[slots[t]] == tags[t] {
                 if provider.is_none() {
                     provider = Some(t);
                 } else {
@@ -390,22 +385,22 @@ impl IndirectPredictor for Ittage {
                 }
             }
         }
-        let bidx = self.base_index(branch);
+        let bidx = (prefix.hash(&[]) & ((1u64 << cfg.base_bits) - 1)) as usize;
         let base_pred = self.base[bidx];
         let alt_pred = match alt {
-            Some(t) => Some(self.tables[t][indices[t]].target),
+            Some(t) => Some(self.targets[slots[t]]),
             None => base_pred,
         };
         let (component, prediction) = match provider {
             Some(t) => {
-                let e = &self.tables[t][indices[t]];
+                let s = slots[t];
                 // A newly-allocated (weak) provider defers to the
                 // alternate while use_alt_on_na says alternates are
                 // winning.
-                if e.ctr == 0 && self.use_alt_on_na >= 0 && alt_pred.is_some() {
+                if self.ctr[s] == 0 && self.use_alt_on_na >= 0 && alt_pred.is_some() {
                     (Component::Alt, alt_pred)
                 } else {
-                    (Component::Table(t), Some(e.target))
+                    (Component::Table(t), Some(self.targets[s]))
                 }
             }
             None => (Component::Base, base_pred),
@@ -439,10 +434,12 @@ impl IndirectPredictor for Ittage {
 
         // --- Update the provider chain. ---
         if let Some(t) = provider {
-            let provider_correct = self.tables[t][indices[t]].target == target;
+            let s = slots[t];
+            let provider_target = self.targets[s];
+            let provider_correct = provider_target == target;
             let alt_correct = alt_pred == Some(target);
             // Track whether alternates beat weak providers.
-            if self.tables[t][indices[t]].ctr == 0 && provider_correct != alt_correct {
+            if self.ctr[s] == 0 && provider_correct != alt_correct {
                 self.use_alt_on_na = if alt_correct {
                     (self.use_alt_on_na + 1).min(USE_ALT_MAX)
                 } else {
@@ -451,48 +448,48 @@ impl IndirectPredictor for Ittage {
             }
             // Usefulness: the provider proved its worth only when it
             // disagreed with the alternate and was right.
-            if self.tables[t][indices[t]].target != alt_pred.unwrap_or(u64::MAX) {
-                let e = &mut self.tables[t][indices[t]];
+            if provider_target != alt_pred.unwrap_or(u64::MAX) {
+                let u = &mut self.useful[s];
                 if provider_correct {
-                    e.useful = (e.useful + 1).min(USEFUL_MAX);
-                } else if e.useful > 0 {
-                    e.useful -= 1;
+                    *u = (*u + 1).min(USEFUL_MAX);
+                } else if *u > 0 {
+                    *u -= 1;
                 }
             }
             // Confidence: strengthen on correct target, weaken on wrong,
             // replace once confidence is exhausted.
-            let e = &mut self.tables[t][indices[t]];
+            let c = &mut self.ctr[s];
             if provider_correct {
-                e.ctr = (e.ctr + 1).min(CTR_MAX);
-            } else if e.ctr > 0 {
-                e.ctr -= 1;
+                *c = (*c + 1).min(CTR_MAX);
+            } else if *c > 0 {
+                *c -= 1;
             } else {
-                e.target = target;
+                self.targets[s] = target;
             }
         }
 
         // --- Allocate on final misprediction. ---
         if !hit {
             let start = provider.map_or(0, |t| t + 1);
-            if start < self.config.tables {
+            if start < tables {
                 // Deterministic first-fit: claim the first not-useful
                 // entry in the shortest eligible table.
-                let mut allocated = false;
-                for t in start..self.config.tables {
-                    let e = &mut self.tables[t][indices[t]];
-                    if !e.valid || e.useful == 0 {
-                        *e = TaggedEntry { valid: true, tag: tags[t], target, ctr: 0, useful: 0 };
-                        allocated = true;
-                        break;
-                    }
-                }
-                if allocated {
+                let free = (start..tables).find(|&t| {
+                    let s = slots[t];
+                    self.tags[s] & VALID == 0 || self.useful[s] == 0
+                });
+                if let Some(t) = free {
+                    let s = slots[t];
+                    self.tags[s] = tags[t];
+                    self.targets[s] = target;
+                    self.ctr[s] = 0;
+                    self.useful[s] = 0;
                     self.breakdown.allocations += 1;
                 } else {
                     // Everything useful: decay so a future mispredict
                     // can get in.
-                    for (table, &idx) in self.tables[start..].iter_mut().zip(&indices[start..]) {
-                        table[idx].useful -= 1;
+                    for &s in &slots[start..tables] {
+                        self.useful[s] -= 1;
                     }
                     self.breakdown.allocation_failures += 1;
                 }
@@ -502,18 +499,20 @@ impl IndirectPredictor for Ittage {
         // --- Base table and history always update. ---
         self.base[bidx] = Some(target);
         self.push_history(target);
-        self.events += 1;
-        if self.events.is_multiple_of(self.config.useful_reset_period) {
+        self.until_aging -= 1;
+        if self.until_aging == 0 {
+            self.until_aging = self.config.useful_reset_period;
             self.age_usefulness();
         }
         hit
     }
 
     fn reset(&mut self) {
-        self.base.iter_mut().for_each(|e| *e = None);
-        for table in &mut self.tables {
-            table.iter_mut().for_each(|e| *e = TaggedEntry::default());
-        }
+        self.base.fill(None);
+        self.tags.fill(0);
+        self.targets.fill(0);
+        self.ctr.fill(0);
+        self.useful.fill(0);
         self.history.reset();
         for f in &mut self.folds {
             f.index_fold.reset();
@@ -521,7 +520,7 @@ impl IndirectPredictor for Ittage {
             f.tag_fold_b.reset();
         }
         self.use_alt_on_na = 0;
-        self.events = 0;
+        self.until_aging = self.config.useful_reset_period;
         self.age_phase = false;
         self.breakdown = IttageBreakdown::new(self.config.tables);
     }
@@ -617,6 +616,53 @@ mod tests {
             stream.iter().map(|&(b, t)| reused.predict_and_update(b, t)).collect();
         assert_eq!(fresh_verdicts, reused_verdicts, "reset must restore cold behaviour");
         assert_eq!(fresh.breakdown(), reused.breakdown());
+    }
+
+    /// History lengths count *bits*, and every dispatch pushes
+    /// [`BITS_PER_EVENT`] of them, so the longest table sees exactly
+    /// `max_history / 2` dispatches. Two predictors in the same state whose
+    /// histories then differ in one pushed target still differ one
+    /// dispatch short of that window, and from the window on their folds
+    /// and verdicts are identical.
+    #[test]
+    fn history_window_is_max_history_bits_or_half_as_many_dispatches() {
+        let history_bits = |t: Addr| hash_words(&[t]) >> (64 - BITS_PER_EVENT);
+        let other = (1..).find(|&t| history_bits(0xA00 + t) != history_bits(0xA00)).unwrap();
+        let folds = |p: &Ittage| -> Vec<(u64, u64, u64)> {
+            p.folds
+                .iter()
+                .map(|f| (f.index_fold.value(), f.tag_fold_a.value(), f.tag_fold_b.value()))
+                .collect()
+        };
+        let stream: Vec<(Addr, Addr)> =
+            (0..3000).map(|i| ((i % 11) * 8, 0x1000 + (i * i % 13) * 64)).collect();
+        for cfg in [
+            IttageConfig::small(),
+            IttageConfig::medium(),
+            IttageConfig::firestorm(),
+            IttageConfig::seznec_64kb(),
+        ] {
+            let window = cfg.max_history / BITS_PER_EVENT;
+            let mut a = Ittage::new(cfg);
+            assert_eq!(a.history.capacity(), cfg.max_history, "ring holds max_history bits");
+            drive(&mut a, &stream[..1000], 1);
+            let mut b = a.clone();
+            a.push_history(0xA00);
+            b.push_history(0xA00 + other);
+            for &(_, t) in &stream[..window - 1] {
+                a.push_history(t);
+                b.push_history(t);
+            }
+            assert_ne!(folds(&a), folds(&b), "{cfg:?}: target {} dispatches old", window - 1);
+            a.push_history(stream[window - 1].1);
+            b.push_history(stream[window - 1].1);
+            assert_eq!(folds(&a), folds(&b), "{cfg:?}: target {window} dispatches old");
+            for &(br, t) in &stream[1000..] {
+                assert_eq!(a.predict_and_update(br, t), b.predict_and_update(br, t));
+                assert_eq!(folds(&a), folds(&b));
+            }
+            assert_eq!(a.breakdown(), b.breakdown());
+        }
     }
 
     #[test]

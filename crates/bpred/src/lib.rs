@@ -73,7 +73,8 @@ pub use any::{AnyPredictor, Monomorphized};
 pub use btb::{Btb, BtbConfig};
 pub use cascaded::CascadedPredictor;
 pub use case_block::CaseBlockTable;
-pub use folded::{FoldedHistory, GlobalHistory};
+pub use folded::{FoldStep, FoldedHistory, GlobalHistory};
+pub use hash::{hash_words, HashPrefix};
 pub use ideal::IdealBtb;
 pub use ittage::{Ittage, IttageBreakdown, IttageConfig};
 pub use path_hybrid::{PathHybrid, PathHybridConfig};

@@ -14,7 +14,7 @@
 //! ITTAGE.
 
 use crate::folded::{FoldedHistory, GlobalHistory};
-use crate::hash::hash_words;
+use crate::hash::HashPrefix;
 use crate::{Addr, IndirectPredictor};
 
 /// Path-history bits contributed per dispatch (hashed from the branch
@@ -91,33 +91,28 @@ impl PathHybrid {
         self.config
     }
 
-    fn slot(&self, branch: Addr) -> usize {
-        let mask = (1u64 << self.config.table_bits) - 1;
-        (hash_words(&[branch]) & mask) as usize
-    }
-
-    fn path_slot(&self, branch: Addr) -> usize {
-        let mask = (1u64 << self.config.table_bits) - 1;
-        (hash_words(&[branch, self.fold.value()]) & mask) as usize
-    }
-
-    fn push_path(&mut self, branch: Addr) {
-        // High hash bits: the multiply mixes poorly into the low bits,
-        // and path entropy must survive for the fold to discriminate.
-        let hashed = hash_words(&[branch]) >> (64 - BITS_PER_EVENT);
-        for b in 0..BITS_PER_EVENT {
-            let bit = (hashed >> b) & 1 != 0;
-            let outgoing = self.history.bit(self.fold.length() - 1);
-            self.history.push(bit);
-            self.fold.update(bit, outgoing);
-        }
+    /// Pushes the path bits of `hashed`, the branch's
+    /// [`hash_words`](crate::hash_words) value: the top [`BITS_PER_EVENT`] bits, since the
+    /// multiply mixes poorly into the low bits and path entropy must
+    /// survive for the fold to discriminate. Both bits fold in one step.
+    fn push_path(&mut self, hashed: u64) {
+        let bits = hashed >> (64 - BITS_PER_EVENT);
+        let (first, second) = (bits & 1 != 0, bits & 2 != 0);
+        self.fold.update2(self.history.step2(self.fold.length(), first, second));
+        self.history.push(first);
+        self.history.push(second);
     }
 }
 
 impl IndirectPredictor for PathHybrid {
     fn predict_and_update(&mut self, branch: Addr, target: Addr) -> bool {
-        let slot = self.slot(branch);
-        let pslot = self.path_slot(branch);
+        // One branch hash serves the last-target slot, the path slot
+        // (resumed from the same prefix) and the path bits pushed below.
+        let prefix = HashPrefix::new(&[branch]);
+        let hashed = prefix.hash(&[]);
+        let mask = (1u64 << self.config.table_bits) - 1;
+        let slot = (hashed & mask) as usize;
+        let pslot = (prefix.hash(&[self.fold.value()]) & mask) as usize;
         let last_pred = self.last_target[slot];
         let path_pred = self.path_table[pslot];
         let use_path = self.meta[slot] >= 2;
@@ -138,7 +133,7 @@ impl IndirectPredictor for PathHybrid {
         // Both components always learn the observed target.
         self.last_target[slot] = Some(target);
         self.path_table[pslot] = Some(target);
-        self.push_path(branch);
+        self.push_path(hashed);
         hit
     }
 

@@ -4,9 +4,9 @@ use ivm_harness::prop::{self, Source};
 use ivm_harness::{prop_assert, prop_assert_eq};
 
 use ivm_bpred::{
-    Btb, BtbConfig, CaseBlockTable, FoldedHistory, GlobalHistory, IdealBtb, IndirectPredictor,
-    Ittage, IttageConfig, PathHybrid, PathHybridConfig, PredictorStats, TwoBitBtb, TwoLevelConfig,
-    TwoLevelPredictor,
+    hash_words, Btb, BtbConfig, CaseBlockTable, FoldedHistory, GlobalHistory, HashPrefix, IdealBtb,
+    IndirectPredictor, Ittage, IttageConfig, PathHybrid, PathHybridConfig, PredictorStats,
+    TwoBitBtb, TwoLevelConfig, TwoLevelPredictor,
 };
 
 /// A random dispatch stream: branch/target pairs drawn from small pools so
@@ -145,6 +145,118 @@ fn folded_history_matches_reference_recompute() {
             );
             prop_assert!(fold.value() < (1 << width), "fold exceeded its width");
         }
+        Ok(())
+    });
+}
+
+/// Pushes `bits` through the single-bit path, one update per bit, the way
+/// a predictor pushing one bit at a time advances its history and fold.
+fn push_single(hist: &mut GlobalHistory, single: &mut FoldedHistory, bits: [bool; 2]) {
+    for bit in bits {
+        let outgoing = hist.bit(single.length() - 1);
+        hist.push(bit);
+        single.update(bit, outgoing);
+    }
+}
+
+/// Checks one (length, width) geometry over a stream of bit pairs: the
+/// two-bit update must equal two single updates and the recompute.
+fn check_two_bit_fold(length: usize, width: usize, pairs: &[(bool, bool)]) -> Result<(), String> {
+    let mut hist = GlobalHistory::new(length);
+    let mut single = FoldedHistory::new(length, width);
+    let mut double = FoldedHistory::new(length, width);
+    for (i, &(first, second)) in pairs.iter().enumerate() {
+        double.update2(hist.step2(length, first, second));
+        push_single(&mut hist, &mut single, [first, second]);
+        if double.value() != single.value() {
+            return Err(format!(
+                "len {length} width {width} pair {i}: update2 {} != two updates {}",
+                double.value(),
+                single.value()
+            ));
+        }
+        let reference = FoldedHistory::recompute(&hist, length, width);
+        if double.value() != reference {
+            return Err(format!(
+                "len {length} width {width} pair {i}: update2 {} != recompute {reference}",
+                double.value()
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The two-bit fold update equals two single updates and the positional
+/// recompute, for random bit streams over widths 1..=16 and lengths
+/// 1..=64. Both ranges shrink toward the edge cases: length 1 (the second
+/// outgoing bit is the first new bit) and widths 1 and 2 (where a
+/// two-column rotation is the identity).
+#[test]
+fn two_bit_fold_update_equals_two_single_updates() {
+    prop::check("two_bit_fold_update_equals_two_single_updates", prop::Config::from_env(), |src| {
+        let width = src.int_in(1usize..17);
+        let length = src.int_in(1usize..65);
+        let pairs = src.vec_of(1..100, |s| (s.bool(), s.bool()));
+        check_two_bit_fold(length, width, &pairs)
+    });
+}
+
+/// The same equivalence on every geometry in the tested ranges, with one
+/// fixed irregular stream, so no (length, width) pair is left to chance.
+#[test]
+fn two_bit_fold_update_holds_on_every_small_geometry() {
+    let pairs: Vec<(bool, bool)> = (0..150u32).map(|i| ((i * i + i) % 7 < 3, i % 5 < 2)).collect();
+    for width in 1..=16 {
+        for length in 1..=64 {
+            check_two_bit_fold(length, width, &pairs).unwrap_or_else(|e| panic!("{e}"));
+        }
+    }
+}
+
+/// A history whose capacity is not a power of two (its ring is rounded
+/// up) still reads every age at or past the capacity as zero, including
+/// the ring slots between the capacity and the ring size.
+#[test]
+fn global_history_reads_zero_past_its_capacity() {
+    // The 24-bit capacity on a 32-slot ring, filled with ones.
+    let mut hist = GlobalHistory::new(24);
+    for _ in 0..64 {
+        hist.push(true);
+    }
+    assert_eq!(hist.capacity(), 24);
+    assert!((0..24).all(|age| hist.bit(age)), "ages below the capacity hold the pushed ones");
+    assert!((24..96).all(|age| !hist.bit(age)), "ages 24.. must read zero on a 32-slot ring");
+
+    prop::check("global_history_reads_zero_past_its_capacity", prop::Config::from_env(), |src| {
+        let capacity = src.int_in(1usize..70);
+        let pushed = src.vec_of(0..200, |s| s.bool());
+        let mut hist = GlobalHistory::new(capacity);
+        for &bit in &pushed {
+            hist.push(bit);
+        }
+        for age in 0..2 * capacity.next_power_of_two() {
+            let want = age < capacity && age < pushed.len() && pushed[pushed.len() - 1 - age];
+            prop_assert_eq!(hist.bit(age), want, "capacity {} age {}", capacity, age);
+        }
+        Ok(())
+    });
+}
+
+/// Resuming a saved [`HashPrefix`] gives exactly `hash_words` over the
+/// whole tuple, wherever the tuple is split.
+#[test]
+fn hash_prefix_resumes_hash_words() {
+    prop::check("hash_prefix_resumes_hash_words", prop::Config::from_env(), |src| {
+        let words = src.vec_of(0..6, |s| s.pick(&[0, 1, 0x100, u64::MAX]) ^ s.below(1 << 40));
+        let split = src.int_in(0..words.len() + 1);
+        let (head, tail) = words.split_at(split);
+        prop_assert_eq!(
+            HashPrefix::new(head).hash(tail),
+            hash_words(&words),
+            "split {} of {:?}",
+            split,
+            words
+        );
         Ok(())
     });
 }
