@@ -92,7 +92,7 @@ impl FoldStep {
     /// `out_first` (the bit `first` ages out) and `out_second` (the bit
     /// `second` ages out).
     #[inline]
-    pub fn new(first: bool, second: bool, out_first: bool, out_second: bool) -> Self {
+    fn new(first: bool, second: bool, out_first: bool, out_second: bool) -> Self {
         FoldStep(
             u8::from(first)
                 | u8::from(second) << 1

@@ -52,7 +52,7 @@ impl Hasher for AddrHasher {
 /// The deterministic fast-hash state all predictor maps share.
 pub type AddrHashBuilder = BuildHasherDefault<AddrHasher>;
 
-/// Hashes a sequence of words through one [`AddrHasher`] stream.
+/// Hashes a sequence of words through one `AddrHasher` stream.
 ///
 /// The tagged-table predictors (ITTAGE, the path hybrid) derive both
 /// their table indexes and their partial tags from `(branch, folded

@@ -92,9 +92,10 @@ impl PathHybrid {
     }
 
     /// Pushes the path bits of `hashed`, the branch's
-    /// [`hash_words`](crate::hash_words) value: the top [`BITS_PER_EVENT`] bits, since the
-    /// multiply mixes poorly into the low bits and path entropy must
-    /// survive for the fold to discriminate. Both bits fold in one step.
+    /// [`hash_words`](crate::hash_words) value: its top [`BITS_PER_EVENT`]
+    /// bits, since the multiply mixes poorly into the low bits and path
+    /// entropy must survive for the fold to discriminate. Both bits fold
+    /// in one step.
     fn push_path(&mut self, hashed: u64) {
         let bits = hashed >> (64 - BITS_PER_EVENT);
         let (first, second) = (bits & 1 != 0, bits & 2 != 0);

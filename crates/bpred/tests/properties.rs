@@ -149,16 +149,6 @@ fn folded_history_matches_reference_recompute() {
     });
 }
 
-/// Pushes `bits` through the single-bit path, one update per bit, the way
-/// a predictor pushing one bit at a time advances its history and fold.
-fn push_single(hist: &mut GlobalHistory, single: &mut FoldedHistory, bits: [bool; 2]) {
-    for bit in bits {
-        let outgoing = hist.bit(single.length() - 1);
-        hist.push(bit);
-        single.update(bit, outgoing);
-    }
-}
-
 /// Checks one (length, width) geometry over a stream of bit pairs: the
 /// two-bit update must equal two single updates and the recompute.
 fn check_two_bit_fold(length: usize, width: usize, pairs: &[(bool, bool)]) -> Result<(), String> {
@@ -167,7 +157,11 @@ fn check_two_bit_fold(length: usize, width: usize, pairs: &[(bool, bool)]) -> Re
     let mut double = FoldedHistory::new(length, width);
     for (i, &(first, second)) in pairs.iter().enumerate() {
         double.update2(hist.step2(length, first, second));
-        push_single(&mut hist, &mut single, [first, second]);
+        for bit in [first, second] {
+            let outgoing = hist.bit(length - 1);
+            hist.push(bit);
+            single.update(bit, outgoing);
+        }
         if double.value() != single.value() {
             return Err(format!(
                 "len {length} width {width} pair {i}: update2 {} != two updates {}",
