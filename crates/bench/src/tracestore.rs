@@ -319,6 +319,24 @@ mod tests {
         let (recovered, _) = capture_once(&TraceStore::with_dir(&dir), &dir);
         assert_eq!(recovered, original, "garbage file is recaptured");
 
+        // One flipped event bit (silent disk or copy corruption) fails
+        // the checksum instead of decoding into a slightly-wrong stream.
+        let mut flipped = good.clone();
+        flipped[good.len() - 9] ^= 1; // last event byte, just before the checksum
+        std::fs::write(&path, &flipped).unwrap();
+        let (recovered, _) = capture_once(&TraceStore::with_dir(&dir), &dir);
+        assert_eq!(recovered, original, "bit-flipped file is recaptured");
+        assert_eq!(std::fs::read(&path).unwrap(), good, "recapture rewrites the artifact");
+
+        // A cache written by an older format version is recaptured, not
+        // migrated.
+        let mut old_version = good.clone();
+        old_version[4..8].copy_from_slice(&2u32.to_le_bytes());
+        std::fs::write(&path, &old_version).unwrap();
+        let (recovered, _) = capture_once(&TraceStore::with_dir(&dir), &dir);
+        assert_eq!(recovered, original, "version-2 file is recaptured");
+        assert_eq!(std::fs::read(&path).unwrap(), good, "recapture rewrites the artifact");
+
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -19,9 +19,6 @@
 //!   of Driesen and Hölzle, as shipped in the Intel Pentium M (paper §8).
 //! * [`CascadedPredictor`] — Driesen and Hölzle's multi-stage cascade: a
 //!   cheap filter stage plus a history stage for promoted branches (§2.2).
-//! * [`CaseBlockTable`] — Kaeli and Emma's predictor for `switch` statements,
-//!   indexed by the switch operand (the VM opcode) rather than the branch
-//!   address (paper §8).
 //! * [`PathHybrid`] — a last-target table plus a folded path-history table
 //!   behind a two-bit chooser: the mid-2010s intermediate point between the
 //!   paper's predictors and the TAGE family.
@@ -59,7 +56,6 @@
 mod any;
 mod btb;
 mod cascaded;
-mod case_block;
 mod folded;
 mod hash;
 mod ideal;
@@ -72,7 +68,6 @@ mod two_level;
 pub use any::{AnyPredictor, Monomorphized};
 pub use btb::{Btb, BtbConfig};
 pub use cascaded::CascadedPredictor;
-pub use case_block::CaseBlockTable;
 pub use folded::{FoldStep, FoldedHistory, GlobalHistory};
 pub use hash::{hash_words, HashPrefix};
 pub use ideal::IdealBtb;

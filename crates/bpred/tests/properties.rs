@@ -4,7 +4,7 @@ use ivm_harness::prop::{self, Source};
 use ivm_harness::{prop_assert, prop_assert_eq};
 
 use ivm_bpred::{
-    hash_words, Btb, BtbConfig, CaseBlockTable, FoldedHistory, GlobalHistory, HashPrefix, IdealBtb,
+    hash_words, Btb, BtbConfig, FoldedHistory, GlobalHistory, HashPrefix, IdealBtb,
     IndirectPredictor, Ittage, IttageConfig, PathHybrid, PathHybridConfig, PredictorStats,
     TwoBitBtb, TwoLevelConfig, TwoLevelPredictor,
 };
@@ -311,24 +311,6 @@ fn ittage_aliasing_is_deterministic() {
         let second: Vec<bool> = stream.iter().map(|&(b, t)| p.predict_and_update(b, t)).collect();
         prop_assert_eq!(&first, &second, "aliased ittage diverged after reset");
         prop_assert_eq!(&bd_first, p.breakdown(), "breakdown must replay identically");
-        Ok(())
-    });
-}
-
-/// The case block table keyed by opcode predicts a switch interpreter
-/// perfectly once every opcode has been seen (targets fixed per key).
-#[test]
-fn case_block_table_is_perfect_for_switch() {
-    prop::check("case_block_table_is_perfect_for_switch", prop::Config::from_env(), |src| {
-        let ops = src.vec_of(1..200, |s| s.int_in(0u64..16));
-        let mut cbt = CaseBlockTable::new();
-        let case_addr = |op: u64| 0x7000 + op * 64;
-        let mut seen = std::collections::HashSet::new();
-        for &op in &ops {
-            let hit = cbt.predict_and_update(0x40, op, case_addr(op));
-            prop_assert_eq!(hit, seen.contains(&op));
-            seen.insert(op);
-        }
         Ok(())
     });
 }

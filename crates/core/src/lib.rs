@@ -74,8 +74,7 @@ mod translate;
 pub use cache::Memo;
 pub use dtrace::{
     dispatch_spec_hash, simulate_many, DispatchTrace, DtraceError, IntervalBbv, IntervalIndex,
-    SpecHasher, DEFAULT_INTERVAL_LEN, DTRACE_FOOTER_MAGIC, DTRACE_MAGIC, DTRACE_VERSION,
-    DTRACE_VERSION_V1,
+    SpecHasher, DEFAULT_INTERVAL_LEN, DTRACE_MAGIC, DTRACE_VERSION,
 };
 pub use engine::{
     DispatchBatch, DispatchObserver, Engine, RunResult, Runner, SharedObserver,

@@ -1,6 +1,7 @@
 //! Property tests for the binary dispatch-trace format: arbitrary
-//! streams round-trip exactly, and corrupt bytes are rejected rather
-//! than decoded into a slightly-wrong stream.
+//! streams round-trip exactly, and corrupt bytes — truncation, a damaged
+//! header, any single flipped bit in the events or checksum — are
+//! rejected rather than decoded into a slightly-wrong stream.
 
 use ivm_core::{DispatchTrace, DTRACE_VERSION};
 use ivm_harness::{prop, prop_assert, prop_assert_eq};
@@ -103,6 +104,23 @@ fn corrupt_headers_are_rejected_not_misread() {
             // version byte always changes the version, and magic bytes
             // always invalidate the magic — decode must never succeed.
             Ok(_) => Err(format!("byte {i} xor {flip:#04x} still decoded")),
+        }
+    });
+}
+
+#[test]
+fn single_bit_flips_after_the_header_never_decode() {
+    prop::check("dtrace_bit_flip_rejected", prop::Config::from_env(), |src| {
+        let trace = arbitrary_trace(src);
+        let mut bytes = trace.to_bytes();
+        // magic + version + spec hash + technique length + technique + count
+        let header = 4 + 4 + 8 + 4 + trace.technique().len() + 8;
+        let i = src.int_in(header..bytes.len());
+        let flip = 1u8 << src.int_in(0..8u32);
+        bytes[i] ^= flip;
+        match DispatchTrace::from_bytes(&bytes) {
+            Err(_) => Ok(()),
+            Ok(_) => Err(format!("byte {i}/{} xor {flip:#04x} still decoded", bytes.len())),
         }
     });
 }
