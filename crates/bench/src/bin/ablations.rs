@@ -35,7 +35,7 @@ fn replica_selection(out: &mut Report, training: &Profile) {
         .iter()
         .map(|b| Cell::new(format!("ablate/replica/{}", b.name), b.name))
         .collect();
-    let rows = run_cells(cells, |cell, _| {
+    let rows = run_cells(cells, |cell| {
         let name = cell.input;
         let image = forth.image(name);
         let (rr, _) = ivm_core::measure(
@@ -86,7 +86,7 @@ fn cover_algorithms(out: &mut Report, training: &Profile) {
         .iter()
         .map(|b| Cell::new(format!("ablate/cover/{}", b.name), b.name))
         .collect();
-    let rows = run_cells(cells, |cell, _| {
+    let rows = run_cells(cells, |cell| {
         let name = cell.input;
         let image = forth.image(name);
         let (g, _) = ivm_core::measure(
@@ -141,7 +141,7 @@ fn predictor_family(out: &mut Report, training: &Profile) {
             })
         })
         .collect();
-    let rows = run_cells(cells, |cell, _| {
+    let rows = run_cells(cells, |cell| {
         let (name, pname, make) = cell.input;
         let image = forth.image(name);
         let (plain, _) = ivm_core::measure_with(
@@ -180,7 +180,7 @@ fn btb_size_sweep(out: &mut Report, training: &Profile) {
             })
         })
         .collect();
-    let mispreds = run_cells(cells, |cell, _| {
+    let mispreds = run_cells(cells, |cell| {
         let (tech, entries) = cell.input;
         let image = forth.image(name);
         let pred = Btb::new(BtbConfig::new(entries, 4));
@@ -218,7 +218,7 @@ fn tos_caching(out: &mut Report, training: &Profile) {
         .take(4)
         .map(|b| Cell::new(format!("ablate/tos/{}", b.name), b.name))
         .collect();
-    let rows = run_cells(cells, |cell, _| {
+    let rows = run_cells(cells, |cell| {
         let name = cell.input;
         let image = forth.image(name);
         let gain = |spec: &ivm_core::VmSpec| {

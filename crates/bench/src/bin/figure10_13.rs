@@ -65,7 +65,7 @@ fn run_frontend(out: &mut Report, figure: &str, fe: &'static Frontend, name: &'s
     let suite = fe.techniques();
     let cells: Vec<Cell<Technique>> =
         suite.iter().map(|&t| Cell::new(format!("{}/{name}/{t}", fe.name), t)).collect();
-    let measured = run_cells(cells, |cell, _| {
+    let measured = run_cells(cells, |cell| {
         let t = cell.input;
         let image = fe.image(name);
         ivm_core::measure(&*image, t, &cpu, Some(&training))

@@ -53,7 +53,7 @@ fn sweep(
                 .map(move |&pct| Cell::new(format!("{prefix}/total{total}/sup{pct}"), (total, pct)))
         })
         .collect();
-    let measured = run_cells(cells, |cell, _| {
+    let measured = run_cells(cells, |cell| {
         let (total, pct) = cell.input;
         run(split_technique(total, pct))
     });

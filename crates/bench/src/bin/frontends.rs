@@ -62,6 +62,7 @@ fn attribution(fe: &'static Frontend, tech: Technique, cpu: &CpuSpec) -> Json {
     image
         .execute(&mut m, image.default_fuel())
         .unwrap_or_else(|e| panic!("{}/{name}/{tech}: {e}", fe.name));
+    m.flush_observer();
     let breakdown = sink.borrow().to_json(Some(m.translation()));
     Json::obj()
         .with("frontend", fe.name)
@@ -100,7 +101,7 @@ fn main() {
             .map(|fe| Cell::new(format!("frontends/attrib/{}", fe.name), fe))
             .collect();
         let breakdowns: Vec<Json> =
-            run_cells(cells, |cell, _| attribution(cell.input, Technique::DynamicRepl, &cpu));
+            run_cells(cells, |cell| attribution(cell.input, Technique::DynamicRepl, &cpu));
         report.section("attribution", Json::Arr(breakdowns));
     }
     report.finish();

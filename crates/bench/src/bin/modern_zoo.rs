@@ -136,7 +136,7 @@ fn main() {
             .iter()
             .map(|&t| Cell::new(format!("modern_zoo/capture/{fname}/{}", t.id()), t))
             .collect();
-        let traces = run_cells(capture_cells, |cell, _| {
+        let traces = run_cells(capture_cells, |cell| {
             trace_store().get_or_capture(fname, bench, &*image, &exec, cell.input, Some(&training))
         });
         let sweep_cells: Vec<Cell<usize>> = techs
@@ -144,7 +144,7 @@ fn main() {
             .enumerate()
             .map(|(i, t)| Cell::new(format!("modern_zoo/sweep/{fname}/{}", t.id()), i))
             .collect();
-        let outs = run_cells(sweep_cells, |cell, _| {
+        let outs = run_cells(sweep_cells, |cell| {
             let mut predictors = build(&all_names);
             let stats = simulate_many(traces[cell.input].trace(), &mut predictors);
             let attribution = predictors[modern_ref_col]

@@ -69,7 +69,7 @@ fn main() {
 
         // Stage 1: capture (one executor cell; cached across runs).
         let stored =
-            run_cells(vec![Cell::new(format!("sampling/capture/{fname}/{bench}"), ())], |_, _| {
+            run_cells(vec![Cell::new(format!("sampling/capture/{fname}/{bench}"), ())], |_| {
                 pipeline::capture(fname, bench, Technique::Threaded)
             })
             .pop()
@@ -79,10 +79,10 @@ fn main() {
 
         // Stage 2 (reference): the full single-pass registry sweep.
         let full_pct =
-            run_cells(vec![Cell::new(format!("sampling/full/{fname}/{bench}"), ())], |_, _| {
+            run_cells(vec![Cell::new(format!("sampling/full/{fname}/{bench}"), ())], |_| {
                 let mut predictors: Vec<AnyPredictor> =
                     predictor_registry().iter().map(|(_, build)| build()).collect();
-                pipeline::simulate_full(trace, &mut predictors)
+                ivm_core::simulate_many(trace, &mut predictors)
                     .iter()
                     .map(|s| 100.0 * s.misprediction_rate())
                     .collect::<Vec<f64>>()
@@ -98,7 +98,7 @@ fn main() {
                 Cell::new(format!("sampling/sampled/{fname}/{bench}/i{ival}k{k}"), (ival, k))
             })
             .collect();
-        let outs: Vec<ConfigOut> = run_cells(cells, |cell, _| {
+        let outs: Vec<ConfigOut> = run_cells(cells, |cell| {
             let (interval_len, k) = cell.input;
             let plan = pipeline::plan(trace, interval_len, k);
             let estimates: Vec<Estimate> = predictor_registry()

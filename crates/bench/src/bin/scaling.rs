@@ -74,7 +74,7 @@ fn prediction_only(out: &mut Report) {
         sizes().iter().map(|&w| Cell::new(format!("scaling/prediction/{w}words"), w)).collect();
     // Each cell synthesizes, compiles and measures one program size — the
     // whole row, since the techniques share the compiled image and profile.
-    let rows = run_cells(cells, |cell, _| {
+    let rows = run_cells(cells, |cell| {
         let words = cell.input;
         let src = synthesize(words, 12);
         let image = ivm_forth::compile(&src).expect("synthetic program compiles");
@@ -105,7 +105,7 @@ fn celeron_regime(out: &mut Report) {
     let cpu = CpuSpec::celeron800();
     let cells: Vec<Cell<usize>> =
         sizes().iter().map(|&w| Cell::new(format!("scaling/celeron/{w}words"), w)).collect();
-    let rows = run_cells(cells, |cell, _| {
+    let rows = run_cells(cells, |cell| {
         let words = cell.input;
         let src = synthesize(words, 12);
         let image = ivm_forth::compile(&src).expect("synthetic program compiles");

@@ -46,6 +46,7 @@ fn attribution_for(
     let engine = Engine::for_cpu(cpu).with_observer(sink.clone());
     let mut m = Measurement::new(translation, Runner::new(engine));
     image.execute(&mut m, image.default_fuel()).unwrap_or_else(|e| panic!("{name}/{tech}: {e}"));
+    m.flush_observer();
     let attrib = sink.borrow();
     let breakdown = attrib.to_json(Some(m.translation()));
     if let Some(ring) = attrib.ring() {
@@ -128,7 +129,7 @@ fn main() {
             .map(|t| Cell::new(format!("section3/attrib/{name}/{t}"), t))
             .collect();
         let breakdowns: Vec<Json> =
-            run_cells(cells, |cell, _| attribution_for(forth, name, cell.input, &cpu, &training));
+            run_cells(cells, |cell| attribution_for(forth, name, cell.input, &cpu, &training));
         report.section(
             "attribution",
             Json::obj().with("benchmark", name).with("techniques", Json::Arr(breakdowns)),

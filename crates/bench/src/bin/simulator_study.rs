@@ -53,7 +53,7 @@ fn main() {
     let (exec, _) = ivm_core::record(&*image).expect("recording run");
     let capture_cells: Vec<Cell<Technique>> =
         techniques().into_iter().map(|t| Cell::new(format!("simstudy/capture/{t}"), t)).collect();
-    let traces = run_cells(capture_cells, |cell, _| {
+    let traces = run_cells(capture_cells, |cell| {
         trace_store().get_or_capture("forth", bench, &*image, &exec, cell.input, Some(&training))
     });
     let sweep_cells: Vec<Cell<(Technique, usize)>> = techniques()
@@ -61,7 +61,7 @@ fn main() {
         .enumerate()
         .map(|(i, t)| Cell::new(format!("simstudy/btb-sweep/{t}"), (t, i)))
         .collect();
-    let rates = run_cells(sweep_cells, |cell, _| {
+    let rates = run_cells(sweep_cells, |cell| {
         let (_, i) = cell.input;
         let mut predictors: Vec<AnyPredictor> =
             geometries.iter().map(|(_, cfg)| Btb::new(*cfg).into()).collect();
@@ -101,7 +101,7 @@ fn main() {
                 .map(move |t| Cell::new(format!("simstudy/icache/{kb}kb/{t}"), (kb, t)))
         })
         .collect();
-    let misses = run_cells(cells, |cell, _| {
+    let misses = run_cells(cells, |cell| {
         let (kb, tech) = cell.input;
         let image = forth.image(bench);
         let engine = Engine::new(

@@ -29,7 +29,7 @@ fn components(
                 .map(move |(i, b)| Cell::new(format!("{}/{}/{t}", fe.name, b.name), (t, b.name, i)))
         })
         .collect();
-    let ratios = run_cells(cells, |cell, _| {
+    let ratios = run_cells(cells, |cell| {
         let (tech, name, i) = cell.input;
         let image = fe.image(name);
         let (r, out) = ivm_core::measure(&*image, tech, cpu, Some(&trainings[i]))

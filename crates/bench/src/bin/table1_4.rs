@@ -173,7 +173,7 @@ fn main() {
 
     let cells: Vec<Cell<&ReplaySpec>> =
         specs.iter().map(|s| Cell::new(format!("table1_4/{}", s.id), s)).collect();
-    let replayed = run_cells(cells, |cell, _| replay(cell.input.title, cell.input.seq));
+    let replayed = run_cells(cells, |cell| replay(cell.input.title, cell.input.seq));
 
     let mut replays = Vec::new();
     for (spec, (text, json)) in specs.iter().zip(replayed) {

@@ -32,7 +32,7 @@ fn table9(out: &mut Report) {
             techniques.iter().map(move |&t| Cell::new(format!("forth/{name}/{t}"), (name, t)))
         })
         .collect();
-    let results = run_cells(cells, |cell, _| {
+    let results = run_cells(cells, |cell| {
         let (name, tech) = cell.input;
         let image = forth.image(name);
         ivm_core::measure(&*image, tech, &cpu, Some(&*training))

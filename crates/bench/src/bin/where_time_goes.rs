@@ -62,12 +62,12 @@ fn run_plan(plan: &Plan) {
 
     let one = |stage: &str| vec![Cell::new(format!("wtg/{name}/{bench}/{stage}"), ())];
     let training =
-        run_cells(one("training"), |_, _| f.training_for(bench)).pop().expect("one training cell");
+        run_cells(one("training"), |_| f.training_for(bench)).pop().expect("one training cell");
 
     let techniques = f.techniques();
     let cells: Vec<Cell<Technique>> =
         techniques.iter().map(|&t| Cell::new(format!("wtg/{name}/{bench}/{t}"), t)).collect();
-    run_cells(cells, |cell, _| {
+    run_cells(cells, |cell| {
         let image = f.image(bench);
         ivm_core::measure(&*image, cell.input, cpu, Some(&training))
             .unwrap_or_else(|e| panic!("wtg/{name}/{bench}/{}: {e}", cell.input))
@@ -75,10 +75,10 @@ fn run_plan(plan: &Plan) {
     });
 
     let image = f.image(bench);
-    let exec = run_cells(one("record"), |_, _| ivm_core::record(&*image).expect("recording run").0)
+    let exec = run_cells(one("record"), |_| ivm_core::record(&*image).expect("recording run").0)
         .pop()
         .expect("one record cell");
-    let stored = run_cells(one("capture"), |_, _| {
+    let stored = run_cells(one("capture"), |_| {
         trace_store().get_or_capture(
             name,
             bench,
@@ -90,12 +90,12 @@ fn run_plan(plan: &Plan) {
     })
     .pop()
     .expect("one capture cell");
-    run_cells(one("sweep"), |_, _| {
+    run_cells(one("sweep"), |_| {
         let mut predictors: Vec<AnyPredictor> =
             predictor_registry().iter().map(|(_, build)| build()).collect();
         simulate_many(stored.trace(), &mut predictors).len()
     });
-    run_cells(one("sampled"), |_, _| {
+    run_cells(one("sampled"), |_| {
         let plan = pipeline::plan(stored.trace(), 1024, 4);
         let (_, build) = predictor_registry()[0];
         pipeline::combine(&pipeline::simulate_sampled(stored.trace(), &plan, &build))

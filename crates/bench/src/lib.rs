@@ -21,11 +21,10 @@
 //! Every suite/grid helper routes its independent experiment cells
 //! through [`run_cells`], which shards them across `IVM_JOBS` worker
 //! threads (default: available parallelism; `IVM_JOBS=1` is fully
-//! serial). Results are merged in canonical cell order and each cell's
-//! RNG stream is keyed to its stable id, so stdout and the JSON reports
-//! are byte-identical at any job count. Executor wall-time metadata is
-//! accumulated process-wide and attached to the report manifest by
-//! [`Report::finish`].
+//! serial). Results are merged in canonical cell order, so stdout and the
+//! JSON reports are byte-identical at any job count. Executor wall-time
+//! metadata is accumulated process-wide and attached to the report
+//! manifest by [`Report::finish`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,7 +34,8 @@ pub mod pipeline;
 pub mod report;
 pub mod tracestore;
 
-pub use ivm_harness::par::{Cell, CellCtx};
+pub use ivm_harness::par::Cell;
+pub use ivm_harness::smoke;
 pub use pipeline::SamplingPlan;
 pub use report::{json_enabled, Report};
 pub use tracestore::{predictor_registry, trace_meta, trace_store, StoredTrace, TraceStore};
@@ -73,18 +73,6 @@ pub fn print_table(title: &str, columns: &[&str], rows: &[Row], precision: usize
     println!();
 }
 
-/// True when the `IVM_SMOKE` environment variable is set (to anything
-/// but `0`).
-///
-/// In smoke mode the bin harnesses run a reduced workload — a small
-/// subset of each suite and shortened sweeps — so CI can check every
-/// binary end to end in seconds. The numbers printed under smoke mode
-/// are *not* the paper's numbers; `results/*.txt` is always regenerated
-/// without it.
-pub fn smoke() -> bool {
-    std::env::var("IVM_SMOKE").is_ok_and(|v| v != "0")
-}
-
 // ---------------------------------------------------------------------------
 // Parallel experiment executor front-end
 // ---------------------------------------------------------------------------
@@ -106,10 +94,7 @@ static EXEC_META: Mutex<Option<ExecutorMeta>> = Mutex::new(None);
 ///
 /// Panics (naming the cell id) if any cell panicked — a report must not
 /// print partial tables.
-pub fn run_cells<T, R>(
-    cells: Vec<Cell<T>>,
-    f: impl Fn(&Cell<T>, &mut CellCtx) -> R + Sync,
-) -> Vec<R>
+pub fn run_cells<T, R>(cells: Vec<Cell<T>>, f: impl Fn(&Cell<T>) -> R + Sync) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -304,7 +289,7 @@ impl Frontend {
                     .iter()
                     .map(|b| Cell::new(format!("{}/profile/{}", self.name, b.name), b.name))
                     .collect();
-                let profiles = run_cells(cells, |cell, _| self.profile_of(cell.input));
+                let profiles = run_cells(cells, |cell| self.profile_of(cell.input));
                 (0..profiles.len())
                     .map(|i| {
                         let mut p = Profile::new();
@@ -360,7 +345,7 @@ impl Frontend {
                 })
             })
             .collect();
-        let results = run_cells(cells, |cell, _| {
+        let results = run_cells(cells, |cell| {
             let (technique, name, i) = cell.input;
             let image = self.image(name);
             ivm_core::measure(&*image, technique, cpu, Some(&trainings[i]))
@@ -505,7 +490,7 @@ mod tests {
     #[test]
     fn run_cells_merges_in_order_and_records_stats() {
         let cells: Vec<Cell<u32>> = (0..6).map(|i| Cell::new(format!("t/{i}"), i)).collect();
-        let out = run_cells(cells, |cell, _| cell.input + 1);
+        let out = run_cells(cells, |cell| cell.input + 1);
         assert_eq!(out, vec![1, 2, 3, 4, 5, 6]);
         let meta = executor_meta().expect("stats recorded");
         assert!(meta.batches >= 1);
@@ -531,7 +516,7 @@ mod tests {
         let image = f.image("micro");
         let grid_cells: Vec<Cell<Technique>> =
             techniques.iter().map(|&t| Cell::new(format!("grid/{t}"), t)).collect();
-        let grid = run_cells(grid_cells, |cell, _| {
+        let grid = run_cells(grid_cells, |cell| {
             ivm_core::measure(&*image, cell.input, &cpu, Some(&training)).expect("runs").0
         });
         let direct: Vec<RunResult> = techniques

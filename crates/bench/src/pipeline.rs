@@ -56,7 +56,7 @@
 
 use std::sync::{Arc, Mutex, OnceLock};
 
-use ivm_bpred::{AnyPredictor, PredStats};
+use ivm_bpred::AnyPredictor;
 use ivm_core::{DispatchTrace, ExecutionTrace, IntervalIndex, Memo, SpecHasher, Technique};
 use ivm_harness::cluster::Clustering;
 use ivm_obs::{SamplingEntry, SamplingMeta};
@@ -276,13 +276,6 @@ pub fn simulate_sampled(
     SampledRun { clusters, simulated_events }
 }
 
-/// The full-fidelity simulate stage: the existing single-pass sweep,
-/// unchanged — one decode, every predictor, bit-identical to the
-/// pre-pipeline path.
-pub fn simulate_full(trace: &DispatchTrace, predictors: &mut [AnyPredictor]) -> Vec<PredStats> {
-    ivm_core::simulate_many(trace, predictors)
-}
-
 // ---------------------------------------------------------------------------
 // Stage 3: combine
 // ---------------------------------------------------------------------------
@@ -417,7 +410,7 @@ mod tests {
     fn sampled_estimate_matches_full_within_the_bar() {
         let t = two_phase_trace(5_000);
         let mut preds = vec![builder()];
-        let full = simulate_full(&t, &mut preds);
+        let full = ivm_core::simulate_many(&t, &mut preds);
         let full_pct = 100.0 * full[0].misprediction_rate();
 
         let p = plan(&t, 250, 4);

@@ -7,7 +7,8 @@
 //! the same enum + capacity-1 batches (per-dispatch delivery, the old
 //! virtual-call behaviour) — and the hardware counters, cycles,
 //! attribution JSON and encoded `.dtrace` bytes must all come out
-//! bit-identical.
+//! bit-identical. Each cell also checks conservation: the attribution
+//! sink's totals equal the engine's dispatch and misprediction counters.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -18,12 +19,12 @@ use ivm_cache::{CycleCosts, Icache, IcacheConfig};
 use ivm_core::{
     DispatchTrace, Engine, ExecutionTrace, GuestVm, Profile, RunResult, SharedObserver, Technique,
 };
-use ivm_obs::DispatchAttribution;
+use ivm_obs::{DispatchAttribution, Tally};
 
 /// One measured replay with a given predictor and batch capacity,
-/// returning the run result plus both observer artifacts (captured in
-/// two passes so each observer sees the stream alone, exactly as the
-/// production pipelines attach them).
+/// returning the run result plus both observer artifacts and the
+/// attribution total (captured in two passes so each observer sees the
+/// stream alone, exactly as the production pipelines attach them).
 fn run_path<G: GuestVm + ?Sized>(
     vm: &G,
     exec: &ExecutionTrace,
@@ -31,7 +32,7 @@ fn run_path<G: GuestVm + ?Sized>(
     training: &Profile,
     make: &dyn Fn() -> AnyPredictor,
     capacity: Option<usize>,
-) -> (RunResult, Vec<u8>, String) {
+) -> (RunResult, Vec<u8>, String, Tally) {
     let engine = |observer: SharedObserver| {
         let e = Engine::new(
             make(),
@@ -63,15 +64,15 @@ fn run_path<G: GuestVm + ?Sized>(
         engine(attrib_sink.clone() as SharedObserver),
         Some(training),
     );
-    let attrib_json = attrib_sink.borrow().to_json(None).to_string();
+    let attrib = attrib_sink.borrow();
 
-    (result, trace_bytes, attrib_json)
+    (result, trace_bytes, attrib.to_json(None).to_string(), attrib.total())
 }
 
 fn assert_identical(
     label: &str,
-    fast: &(RunResult, Vec<u8>, String),
-    r: &(RunResult, Vec<u8>, String),
+    fast: &(RunResult, Vec<u8>, String, Tally),
+    r: &(RunResult, Vec<u8>, String, Tally),
 ) {
     assert_eq!(fast.0.counters, r.0.counters, "{label}: hardware counters diverge");
     assert_eq!(
@@ -108,7 +109,16 @@ fn batched_fast_path_is_bit_identical_to_per_dispatch_reference() {
                 &|| AnyPredictor::Boxed(Box::new(Btb::new(cfg)) as Box<dyn IndirectPredictor>),
                 Some(1),
             );
-            assert_identical(&format!("{fe}/{bench}/{technique}"), &fast, &reference);
+            let label = format!("{fe}/{bench}/{technique}");
+            assert_identical(&label, &fast, &reference);
+            // Conservation: every dispatch the engine counts reaches the
+            // attribution sink, and so does every misprediction.
+            let (total, counters) = (fast.3, &fast.0.counters);
+            assert_eq!(total.executed, counters.dispatches, "{label}: attributed dispatches");
+            assert_eq!(
+                total.mispredicted, counters.indirect_mispredicted,
+                "{label}: attributed mispredictions"
+            );
 
             // A deliberately awkward capacity exercises the partial-flush
             // boundary (batches that split mid-iteration).

@@ -65,6 +65,13 @@ impl Measurement {
         &self.runner
     }
 
+    /// Delivers batched dispatch events to the engine's observer now, so
+    /// the observer can be read against [`Measurement::translation`]
+    /// before [`Measurement::finish`] consumes it.
+    pub fn flush_observer(&mut self) {
+        self.runner.flush_observer();
+    }
+
     /// Ends the run and produces the result.
     pub fn finish(self) -> RunResult {
         self.runner.finish(&self.translation)

@@ -5,8 +5,8 @@
 //! warmed up, timed over N samples (each a batch of iterations sized to
 //! a target duration), and summarised by the median and the median
 //! absolute deviation (MAD) of the per-iteration time — both robust to
-//! scheduler noise. Output is a human-readable line per benchmark plus,
-//! on request, a JSON document for tooling.
+//! scheduler noise. Output is a human-readable line per benchmark plus a
+//! JSON document for tooling.
 //!
 //! Environment and CLI:
 //!
@@ -15,18 +15,15 @@
 //!   variable shrinks a whole suite for smoke runs.
 //! * `IVM_BENCH_WARMUP_MS` — warmup duration per benchmark (default 200).
 //! * `IVM_BENCH_SAMPLE_MS` — target duration of one sample (default 10).
-//! * `IVM_BENCH_JSON=1` or `--json` — emit a JSON summary on stdout after
-//!   the runs.
 //! * The first free CLI argument is a substring filter on
 //!   `group/benchmark` ids (`cargo bench -p ivm-bench -- translate`).
-//!   Cargo's own `--bench` flag is ignored.
+//!   Flags, such as the `--bench` cargo passes, are ignored.
 //!
-//! In addition, [`Bencher::finish`] always writes the JSON summary to
-//! `BENCH_<suite>.json` at the workspace root (set `IVM_BENCH_WRITE=0` to
-//! suppress), so the perf trajectory of a branch is machine-readable
-//! without re-running anything. The document embeds a small manifest
-//! (workspace version, smoke flag, sample settings, filter) so two files
-//! can be diffed meaningfully.
+//! [`Bencher::finish`] writes the JSON summary to `BENCH_<suite>.json` at
+//! the workspace root, so the perf trajectory of a branch is
+//! machine-readable without re-running anything. The document embeds a
+//! small manifest (workspace version, smoke flag, sample settings,
+//! filter) so two files can be diffed meaningfully.
 
 use std::fmt::Display;
 use std::hint::black_box;
@@ -54,7 +51,6 @@ pub struct Bencher {
     samples_from_env: bool,
     warmup: Duration,
     sample_target: Duration,
-    json: bool,
     filter: Option<String>,
     results: Vec<Summary>,
 }
@@ -68,17 +64,7 @@ impl Bencher {
     /// and the process arguments (see the [module docs](self)).
     #[must_use]
     pub fn new(suite: &str) -> Self {
-        let mut json = std::env::var("IVM_BENCH_JSON").is_ok_and(|v| v != "0");
-        let mut filter = None;
-        for arg in std::env::args().skip(1) {
-            match arg.as_str() {
-                "--json" => json = true,
-                // Flags cargo bench passes to every bench target.
-                "--bench" | "--nocapture" => {}
-                a if a.starts_with('-') => {}
-                a => filter = Some(a.to_owned()),
-            }
-        }
+        let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
         Self {
             suite: suite.to_owned(),
             samples: env_u64("IVM_BENCH_SAMPLES", 30).max(1) as usize,
@@ -87,7 +73,6 @@ impl Bencher {
                 .is_ok_and(|v| v.trim().parse::<u64>().is_ok()),
             warmup: Duration::from_millis(env_u64("IVM_BENCH_WARMUP_MS", 200)),
             sample_target: Duration::from_millis(env_u64("IVM_BENCH_SAMPLE_MS", 10).max(1)),
-            json,
             filter,
             results: Vec::new(),
         }
@@ -106,7 +91,7 @@ impl Bencher {
         out.push_str(&format!(
             "\"manifest\":{{\"version\":\"{}\",\"smoke\":{},\"samples\":{},\"warmup_ms\":{},\"sample_ms\":{},\"filter\":{}}},",
             escape(env!("CARGO_PKG_VERSION")),
-            std::env::var("IVM_SMOKE").is_ok_and(|v| v != "0"),
+            crate::smoke(),
             self.samples,
             self.warmup.as_millis(),
             self.sample_target.as_millis(),
@@ -133,20 +118,17 @@ impl Bencher {
         out
     }
 
-    /// Prints the JSON summary if requested and writes `BENCH_<suite>.json`
-    /// at the workspace root. Called automatically by nothing — bench
-    /// targets call it at the end of `main`.
+    /// Writes `BENCH_<suite>.json` at the workspace root (unless nothing
+    /// ran, e.g. under a filter that matched no benchmark). Called
+    /// automatically by nothing — bench targets call it at the end of
+    /// `main`.
     pub fn finish(self) {
-        let doc = self.to_json();
-        if self.json {
-            println!("{doc}");
+        if self.results.is_empty() {
+            return;
         }
-        let writing = std::env::var("IVM_BENCH_WRITE").map_or(true, |v| v != "0");
-        if writing && !self.results.is_empty() {
-            let path = workspace_root().join(format!("BENCH_{}.json", self.suite));
-            if let Err(e) = std::fs::write(&path, format!("{doc}\n")) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            }
+        let path = workspace_root().join(format!("BENCH_{}.json", self.suite));
+        if let Err(e) = std::fs::write(&path, format!("{}\n", self.to_json())) {
+            eprintln!("warning: could not write {}: {e}", path.display());
         }
     }
 
@@ -308,7 +290,6 @@ mod tests {
             samples_from_env: false,
             warmup: Duration::from_millis(1),
             sample_target: Duration::from_micros(200),
-            json: false,
             filter: None,
             results: Vec::new(),
         };
@@ -329,7 +310,6 @@ mod tests {
             samples_from_env: false,
             warmup: Duration::from_millis(1),
             sample_target: Duration::from_micros(200),
-            json: false,
             filter: Some("g".into()),
             results: Vec::new(),
         };

@@ -22,9 +22,8 @@
 //!   JSON output) for `harness = false` bench targets.
 //! * [`par`] — a deterministic parallel experiment executor: a scoped
 //!   worker pool that shards independent experiment cells across
-//!   `IVM_JOBS` threads, pins each cell's RNG stream to its stable id,
-//!   and merges results in canonical order, so reports are bit-identical
-//!   at any job count.
+//!   `IVM_JOBS` threads and merges results in canonical order, so
+//!   reports are bit-identical at any job count.
 //! * [`cluster`] — deterministic k-means phase clustering for
 //!   SimPoint-style interval sampling: seeded by the pinned [`rng`]
 //!   streams, fixed iteration cadence, every tie broken by stable index,
@@ -35,6 +34,9 @@
 //!   lives here so `ivm-core`'s measurement pipeline and the [`par`]
 //!   executor can open spans without depending on the observability
 //!   crate.
+//! * [`smoke`] — the one reader of `IVM_SMOKE`, the reduced-workload
+//!   switch the report binaries, their manifests and the bench summaries
+//!   all consult.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,9 +50,22 @@ pub mod span;
 
 pub use bench::Bencher;
 pub use cluster::{kmeans, Clustering};
-pub use par::{run_cells, run_cells_with, Cell, CellCtx, CellError, CellStat, ExecStats};
+pub use par::{run_cells, run_cells_with, Cell, CellError, CellStat, ExecStats};
 pub use prop::{Config, Source};
 pub use rng::Xoshiro256StarStar;
+
+/// True when the `IVM_SMOKE` environment variable is set (to anything
+/// but `0`).
+///
+/// In smoke mode the report binaries run a reduced workload — a small
+/// subset of each suite and shortened sweeps — so CI can check every
+/// binary end to end in seconds. The numbers printed under smoke mode
+/// are *not* the paper's numbers; `results/*.txt` is always regenerated
+/// without it.
+#[must_use]
+pub fn smoke() -> bool {
+    std::env::var("IVM_SMOKE").is_ok_and(|v| v != "0")
+}
 
 /// Asserts a condition inside a [`prop::check`] property, returning
 /// `Err(String)` (with the condition text and an optional formatted

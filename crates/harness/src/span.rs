@@ -6,8 +6,9 @@
 //! execute, predictor sweep, ...) from construction to drop, nesting
 //! naturally with scopes. Finished spans land in a thread-local buffer —
 //! entering and leaving a span takes two `Instant::now()` calls and a
-//! `Vec` push, no locks — and are flushed to a process-wide sink when
-//! the thread exits (or eagerly by [`snapshot`]). The aggregation and
+//! `Vec` push, no locks — and are flushed to a process-wide sink by
+//! [`flush`] (every executor worker calls it before returning), by
+//! [`snapshot`], or when the thread exits. The aggregation and
 //! Chrome-trace export layers live in `ivm-obs::span`; this module sits
 //! in `ivm-harness` because both `ivm-core`'s measurement pipeline and
 //! the [`crate::par`] executor below `ivm-obs` need to open spans.
@@ -194,15 +195,23 @@ impl Drop for SpanGuard {
     }
 }
 
+/// Moves the current thread's finished spans into the process sink.
+/// A scoped thread must call this before it returns: the scope's join
+/// can complete before the thread's thread-local destructors run, so the
+/// flush on thread exit may come too late for the joining thread.
+pub fn flush() {
+    STATE.with(|s| s.borrow_mut().flush());
+}
+
 /// Flushes the current thread's finished spans into the process sink
 /// and returns a copy of everything collected so far, ordered by
 /// `(track, start_us, depth)` so consumers see a stable layout.
-/// Worker-thread spans are present once their threads have exited —
-/// which the scoped executor guarantees before its batch returns.
+/// Worker-thread spans are present once their threads have called
+/// [`flush`], which every executor worker does before it returns.
 /// Records are copied, not drained: later callers see them too.
 #[must_use]
 pub fn snapshot() -> Vec<SpanRecord> {
-    STATE.with(|s| s.borrow_mut().flush());
+    flush();
     let mut records = sink().lock().map(|g| g.clone()).unwrap_or_default();
     records.sort_by_key(|r| (r.track, r.start_us, r.depth));
     records
@@ -215,8 +224,17 @@ mod tests {
     // Names are per-test literals: the sink is process-global and tests
     // share it, so each test filters the snapshot by its own names.
 
+    /// Serialises the tests that record spans against the one that turns
+    /// recording off: the enable flag is process-global, so without this
+    /// lock a recording test running beside it loses its spans.
+    fn flag_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn nested_spans_partition_self_time() {
+        let _flag = flag_lock();
         {
             let _outer = enter("test-span-outer");
             std::thread::sleep(std::time::Duration::from_millis(4));
@@ -246,6 +264,7 @@ mod tests {
 
     #[test]
     fn disabled_guards_record_nothing() {
+        let _flag = flag_lock();
         set_enabled(false);
         {
             let _g = enter("test-span-disabled");
@@ -260,11 +279,13 @@ mod tests {
 
     #[test]
     fn worker_threads_flush_on_exit_with_their_track() {
+        let _flag = flag_lock();
         std::thread::scope(|scope| {
             for worker in 0..3u32 {
                 scope.spawn(move || {
                     set_track(worker + 1);
-                    let _g = enter("test-span-worker");
+                    drop(enter("test-span-worker"));
+                    flush();
                 });
             }
         });
@@ -276,6 +297,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_stably_ordered_and_non_draining() {
+        let _flag = flag_lock();
         {
             let _g = enter("test-span-keep");
         }

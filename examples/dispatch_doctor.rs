@@ -1,19 +1,17 @@
 //! "Dispatch doctor": find which VM instructions cause the mispredictions.
 //!
-//! Runs a Forth benchmark under plain threaded code with per-branch
-//! statistics, then maps the worst dispatch branches back to VM opcodes via
-//! the translation — the diagnosis that motivates replication in the paper
-//! (a VM instruction occurring several times in the working set thrashes
-//! its BTB entry).
+//! Runs a Forth benchmark with a [`DispatchAttribution`] observer on the
+//! engine, then ranks VM words by the mispredictions of their dispatches —
+//! the diagnosis that motivates replication in the paper (a VM instruction
+//! occurring several times in the working set thrashes its BTB entry).
 //!
 //! Run with: `cargo run --release --example dispatch_doctor -- [benchmark] [technique]`
 //! (technique defaults to `plain`; any paper name parses, e.g. "across bb")
 
-use std::collections::HashMap;
-
 use ivm::cache::CpuSpec;
 use ivm::core::{translate, Engine, Measurement, Runner, SuperSelection, Technique};
 use ivm::forth;
+use ivm::obs::DispatchAttribution;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let name = std::env::args().nth(1).unwrap_or_else(|| "bench-gc".into());
@@ -33,29 +31,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let translation =
         translate(&o.spec, &image.program, technique, training.as_ref(), SuperSelection::gforth());
 
-    // Map each dispatch branch address to the opcode(s) owning it.
-    let mut owner: HashMap<u64, &str> = HashMap::new();
-    for i in 0..image.program.len() {
-        let slot = translation.slot(i);
-        for dp in [slot.fall, slot.taken].into_iter().flatten() {
-            owner.entry(dp.branch).or_insert_with(|| o.spec.name(image.program.op(i)));
-        }
-    }
-
-    let engine = Engine::for_cpu(&cpu).with_branch_stats();
+    let sink = DispatchAttribution::new().shared();
+    let engine = Engine::for_cpu(&cpu).with_observer(sink.clone());
     let mut m = Measurement::new(translation, Runner::new(engine));
     forth::run(&image, &mut m, forth::DEFAULT_FUEL)?;
+    m.flush_observer();
 
-    println!("Worst dispatch branches for {name} ({technique}, {}):", cpu.name);
-    println!(
-        "{:<12} {:<12} {:>12} {:>12} {:>8}",
-        "branch", "VM word", "executed", "mispred", "rate%"
-    );
-    for (branch, execs, misses) in m.runner().engine().top_mispredicted(12) {
+    println!("Worst VM words for {name} ({technique}, {}):", cpu.name);
+    println!("{:<12} {:>12} {:>12} {:>8}", "VM word", "executed", "mispred", "rate%");
+    for op in sink.borrow().per_opcode(m.translation()).iter().take(12) {
+        let t = op.tally;
         println!(
-            "{branch:#012x} {:<12} {execs:>12} {misses:>12} {:>8.1}",
-            owner.get(&branch).copied().unwrap_or("?"),
-            100.0 * misses as f64 / execs as f64,
+            "{:<12} {:>12} {:>12} {:>8.1}",
+            op.name,
+            t.executed,
+            t.mispredicted,
+            100.0 * t.mispredicted as f64 / t.executed as f64,
         );
     }
     let r = m.finish();

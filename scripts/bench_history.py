@@ -22,8 +22,9 @@ Each history line is one run:
 
 `append` also prints the trend afterwards, so a single CI step both
 records and reports. The history file lives under `results/` and is
-gitignored (`*.jsonl`): CI keeps it across runs as an uploaded
-artifact, developers keep it locally.
+gitignored (`*.jsonl`) and accumulates locally. CI uploads it as an
+artifact but never restores the previous one, so each CI run records
+a one-entry history.
 
 Exit status: 0 on success, 2 on unreadable/malformed input.
 """
