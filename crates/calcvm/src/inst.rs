@@ -36,6 +36,48 @@ pub struct CalcOps {
     pub halt: OpId,
     /// The instruction-set description shared with `ivm-core`.
     pub spec: VmSpec,
+    /// What each opcode does, indexed by [`OpId`].
+    ops: Vec<Op>,
+}
+
+/// What a calculator instruction does: the interpreter's `match` key.
+///
+/// Opcode ids are assigned at run time by the [`VmSpec`] builder, so the
+/// interpreter cannot match on them directly; [`CalcOps::op`] maps an id
+/// to its dense kind through a table built once with the ids.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub(crate) enum Op {
+    Push,
+    Add,
+    Sub,
+    Mul,
+    Div,
+    Mod,
+    Neg,
+    Dup,
+    Drop,
+    Swap,
+    Over,
+    Lt,
+    Eq,
+    Load,
+    Store,
+    Print,
+    Jmp,
+    Jz,
+    Jnz,
+    Call,
+    Ret,
+    Halt,
+}
+
+impl CalcOps {
+    /// The kind of opcode `op`.
+    #[inline]
+    pub(crate) fn op(&self, op: OpId) -> Op {
+        self.ops[usize::from(op)]
+    }
 }
 
 fn build() -> CalcOps {
@@ -62,6 +104,35 @@ fn build() -> CalcOps {
     let call = b.inst("call", NativeSpec::new(4, 12, InstKind::Call));
     let ret = b.inst("ret", NativeSpec::new(3, 9, InstKind::Return));
     let halt = b.inst("halt", NativeSpec::new(1, 4, InstKind::Return));
+    let spec = b.build();
+    let mut ops = vec![None; spec.len()];
+    for (id, op) in [
+        (push, Op::Push),
+        (add, Op::Add),
+        (sub, Op::Sub),
+        (mul, Op::Mul),
+        (div, Op::Div),
+        (mod_, Op::Mod),
+        (neg, Op::Neg),
+        (dup, Op::Dup),
+        (drop, Op::Drop),
+        (swap, Op::Swap),
+        (over, Op::Over),
+        (lt, Op::Lt),
+        (eq, Op::Eq),
+        (load, Op::Load),
+        (store, Op::Store),
+        (print, Op::Print),
+        (jmp, Op::Jmp),
+        (jz, Op::Jz),
+        (jnz, Op::Jnz),
+        (call, Op::Call),
+        (ret, Op::Ret),
+        (halt, Op::Halt),
+    ] {
+        ops[usize::from(id)] = Some(op);
+    }
+    let ops = ops.into_iter().map(|op| op.expect("every opcode has a kind")).collect();
     CalcOps {
         push,
         add,
@@ -85,7 +156,8 @@ fn build() -> CalcOps {
         call,
         ret,
         halt,
-        spec: b.build(),
+        spec,
+        ops,
     }
 }
 
@@ -107,5 +179,14 @@ mod tests {
         assert_eq!(o.spec.native(o.ret).kind, InstKind::Return);
         assert!(!o.spec.native(o.print).relocatable);
         assert!(o.spec.native(o.add).relocatable);
+    }
+
+    #[test]
+    fn op_table_covers_every_opcode() {
+        let o = ops();
+        assert_eq!(o.ops.len(), o.spec.len());
+        assert_eq!(o.op(o.push), Op::Push);
+        assert_eq!(o.op(o.mod_), Op::Mod);
+        assert_eq!(o.op(o.halt), Op::Halt);
     }
 }

@@ -5,7 +5,7 @@ use std::fmt;
 
 use ivm_core::{GuestVm, ProgramCode, SuperSelection, VmError, VmEvents, VmOutput, VmSpec};
 
-use crate::inst::ops;
+use crate::inst::{ops, Op};
 
 /// Default fuel for benchmark runs (VM instructions).
 pub const DEFAULT_FUEL: u64 = 50_000_000;
@@ -195,102 +195,115 @@ pub fn run(image: &CalcImage, events: &mut dyn VmEvents, fuel: u64) -> Result<Vm
         if steps > fuel {
             return Err(VmError::FuelExhausted(fuel));
         }
-        let op = program.op(ip);
         let operand = image.operands[ip];
+        let op = o.op(program.op(ip));
 
-        let flow = if op == o.push {
-            stack.push(operand);
-            Flow::Next
-        } else if op == o.add {
-            let b = pop!();
-            let a = pop!();
-            stack.push(a.wrapping_add(b));
-            Flow::Next
-        } else if op == o.sub {
-            let b = pop!();
-            let a = pop!();
-            stack.push(a.wrapping_sub(b));
-            Flow::Next
-        } else if op == o.mul {
-            let b = pop!();
-            let a = pop!();
-            stack.push(a.wrapping_mul(b));
-            Flow::Next
-        } else if op == o.div || op == o.mod_ {
-            let b = pop!();
-            let a = pop!();
-            if b == 0 {
-                return Err(VmError::DivisionByZero(ip));
-            }
-            stack.push(if op == o.div { a.wrapping_div(b) } else { a.wrapping_rem(b) });
-            Flow::Next
-        } else if op == o.neg {
-            let a = pop!();
-            stack.push(a.wrapping_neg());
-            Flow::Next
-        } else if op == o.dup {
-            let a = pop!();
-            stack.push(a);
-            stack.push(a);
-            Flow::Next
-        } else if op == o.drop {
-            pop!();
-            Flow::Next
-        } else if op == o.swap {
-            let b = pop!();
-            let a = pop!();
-            stack.push(b);
-            stack.push(a);
-            Flow::Next
-        } else if op == o.over {
-            let b = pop!();
-            let a = pop!();
-            stack.push(a);
-            stack.push(b);
-            stack.push(a);
-            Flow::Next
-        } else if op == o.lt {
-            let b = pop!();
-            let a = pop!();
-            stack.push(i64::from(a < b));
-            Flow::Next
-        } else if op == o.eq {
-            let b = pop!();
-            let a = pop!();
-            stack.push(i64::from(a == b));
-            Flow::Next
-        } else if op == o.load {
-            stack.push(slots[operand as usize]);
-            Flow::Next
-        } else if op == o.store {
-            slots[operand as usize] = pop!();
-            Flow::Next
-        } else if op == o.print {
-            let a = pop!();
-            text.push_str(&a.to_string());
-            text.push('\n');
-            Flow::Next
-        } else if op == o.jmp {
-            Flow::Taken(program.target(ip).expect("assembler sets jump targets"))
-        } else if op == o.jz || op == o.jnz {
-            let a = pop!();
-            if (a == 0) == (op == o.jz) {
-                Flow::Taken(program.target(ip).expect("assembler sets branch targets"))
-            } else {
+        let flow = match op {
+            Op::Push => {
+                stack.push(operand);
                 Flow::Next
             }
-        } else if op == o.call {
-            calls.push(ip + 1);
-            Flow::Taken(program.target(ip).expect("assembler sets call targets"))
-        } else if op == o.ret {
-            match calls.pop() {
+            Op::Add => {
+                let b = pop!();
+                let a = pop!();
+                stack.push(a.wrapping_add(b));
+                Flow::Next
+            }
+            Op::Sub => {
+                let b = pop!();
+                let a = pop!();
+                stack.push(a.wrapping_sub(b));
+                Flow::Next
+            }
+            Op::Mul => {
+                let b = pop!();
+                let a = pop!();
+                stack.push(a.wrapping_mul(b));
+                Flow::Next
+            }
+            Op::Div | Op::Mod => {
+                let b = pop!();
+                let a = pop!();
+                if b == 0 {
+                    return Err(VmError::DivisionByZero(ip));
+                }
+                stack.push(if op == Op::Div { a.wrapping_div(b) } else { a.wrapping_rem(b) });
+                Flow::Next
+            }
+            Op::Neg => {
+                let a = pop!();
+                stack.push(a.wrapping_neg());
+                Flow::Next
+            }
+            Op::Dup => {
+                let a = pop!();
+                stack.push(a);
+                stack.push(a);
+                Flow::Next
+            }
+            Op::Drop => {
+                pop!();
+                Flow::Next
+            }
+            Op::Swap => {
+                let b = pop!();
+                let a = pop!();
+                stack.push(b);
+                stack.push(a);
+                Flow::Next
+            }
+            Op::Over => {
+                let b = pop!();
+                let a = pop!();
+                stack.push(a);
+                stack.push(b);
+                stack.push(a);
+                Flow::Next
+            }
+            Op::Lt => {
+                let b = pop!();
+                let a = pop!();
+                stack.push(i64::from(a < b));
+                Flow::Next
+            }
+            Op::Eq => {
+                let b = pop!();
+                let a = pop!();
+                stack.push(i64::from(a == b));
+                Flow::Next
+            }
+            Op::Load => {
+                stack.push(slots[operand as usize]);
+                Flow::Next
+            }
+            Op::Store => {
+                slots[operand as usize] = pop!();
+                Flow::Next
+            }
+            Op::Print => {
+                let a = pop!();
+                text.push_str(&a.to_string());
+                text.push('\n');
+                Flow::Next
+            }
+            Op::Jmp => Flow::Taken(program.target(ip).expect("assembler sets jump targets")),
+            Op::Jz | Op::Jnz => {
+                let a = pop!();
+                if (a == 0) == (op == Op::Jz) {
+                    Flow::Taken(program.target(ip).expect("assembler sets branch targets"))
+                } else {
+                    Flow::Next
+                }
+            }
+            Op::Call => {
+                calls.push(ip + 1);
+                Flow::Taken(program.target(ip).expect("assembler sets call targets"))
+            }
+            Op::Ret => match calls.pop() {
                 Some(r) => Flow::Taken(r),
                 None => return Err(VmError::StackUnderflow(ip)),
-            }
-        } else if op == o.halt {
-            Flow::Halt
-        } else {
-            unreachable!("unknown calc opcode");
+            },
+            Op::Halt => Flow::Halt,
         };
 
         match flow {

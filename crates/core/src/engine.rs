@@ -4,7 +4,6 @@
 use ivm_bpred::{Addr, AnyPredictor, IndirectPredictor};
 use ivm_cache::{CpuSpec, CycleCosts, FetchCache, PerfCounters};
 
-use crate::slots::{AltCode, DispatchPoint};
 use crate::technique::Technique;
 use crate::translate::Translation;
 
@@ -24,7 +23,7 @@ pub const DISPATCH_BATCH_CAPACITY: usize = 1024;
 /// `RefCell` borrow plus a virtual call per dispatch. Batch-native
 /// observers consume the column slices directly; everyone else gets the
 /// default per-event replay, which preserves exact `dispatch` order.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct DispatchBatch {
     from: Vec<usize>,
     to: Vec<usize>,
@@ -263,10 +262,12 @@ impl Engine {
         self.batch.clear();
     }
 
+    #[inline]
     fn retire(&mut self, n: u32) {
         self.counters.instructions += u64::from(n);
     }
 
+    #[inline]
     fn fetch_code(&mut self, addr: Addr, len: u32) {
         if len > 0 {
             self.counters.icache_misses += self.fetch.fetch(addr, len);
@@ -274,6 +275,7 @@ impl Engine {
         }
     }
 
+    #[inline]
     fn indirect(&mut self, from: usize, to: usize, branch: Addr, target: Addr) {
         self.counters.indirect_branches += 1;
         let hit = self.predictor.predict_and_update(branch, target);
@@ -312,17 +314,12 @@ impl RunResult {
     }
 }
 
-/// Per-slot view after resolving side-entry (alt) state.
-struct View {
-    entry: Addr,
-    work_instrs: u32,
-    fetch: (Addr, u32),
-    fall: Option<DispatchPoint>,
-    taken: Option<DispatchPoint>,
-}
-
 /// Drives an [`Engine`] from the control-transfer stream of an interpreter
 /// run over a [`Translation`].
+///
+/// Every step reads the [`crate::SlotCode`] fields it needs in place and
+/// resolves the side-entry state of the entered instance once per
+/// transfer; nothing per slot is copied.
 #[derive(Debug)]
 pub struct Runner {
     engine: Engine,
@@ -348,30 +345,19 @@ impl Runner {
         self.engine.flush_observer();
     }
 
+    #[inline]
     fn in_side(&self, i: usize) -> bool {
         self.side_until.is_some_and(|u| i as u32 <= u)
     }
 
-    fn view(&self, t: &Translation, i: usize) -> View {
+    /// Executes instance `i`; `side` is [`Runner::in_side`] for `i`.
+    #[inline]
+    fn enter(&mut self, t: &Translation, i: usize, side: bool) {
         let slot = t.slot(i);
-        match slot.alt {
-            Some(AltCode { entry, work_instrs, fetch, fall, .. }) if self.in_side(i) => {
-                View { entry, work_instrs, fetch, fall: Some(fall), taken: Some(fall) }
-            }
-            _ => View {
-                entry: slot.entry,
-                work_instrs: slot.work_instrs,
-                fetch: slot.fetch,
-                fall: slot.fall,
-                taken: slot.taken,
-            },
-        }
-    }
-
-    fn enter(&mut self, t: &Translation, i: usize) {
-        // Pre-dispatch stubs are not used on the side-entry path.
-        if !self.in_side(i) {
-            if let Some(pre) = t.slot(i).pre {
+        // Pre-dispatch stubs and second fetch regions are not used on the
+        // side-entry path.
+        if !side {
+            if let Some(pre) = &slot.pre {
                 self.engine.retire(pre.instrs);
                 self.engine.fetch_code(pre.fetch.0, pre.fetch.1);
                 self.engine.counters.dispatches += 1;
@@ -380,23 +366,23 @@ impl Runner {
                 self.engine.indirect(i, i, pre.branch, pre.target);
             }
         }
-        let v = self.view(t, i);
-        self.engine.retire(v.work_instrs);
-        self.engine.fetch_code(v.fetch.0, v.fetch.1);
-        if !self.in_side(i) {
-            let (addr, len) = t.slot(i).extra_fetch;
+        let (work_instrs, (addr, len)) = match &slot.alt {
+            Some(alt) if side => (alt.work_instrs, alt.fetch),
+            _ => (slot.work_instrs, slot.fetch),
+        };
+        self.engine.retire(work_instrs);
+        self.engine.fetch_code(addr, len);
+        if !side {
+            let (addr, len) = slot.extra_fetch;
             self.engine.fetch_code(addr, len);
         }
     }
 
     /// Starts (or restarts) execution at instance `entry`.
     pub fn begin(&mut self, t: &Translation, entry: usize) {
-        self.side_until = None;
-        if t.slot(entry).alt.is_some() {
-            // Entering mid-superinstruction from outside: side path.
-            self.side_until = t.slot(entry).alt.map(|a| a.until);
-        }
-        self.enter(t, entry);
+        // Entering mid-superinstruction from outside takes the side path.
+        self.side_until = t.slot(entry).alt.map(|a| a.until);
+        self.enter(t, entry, self.in_side(entry));
     }
 
     /// Records the control transfer `from → to`; `taken` distinguishes a
@@ -408,30 +394,36 @@ impl Runner {
     /// `from` — that indicates a translator bug or a VM reporting an
     /// impossible transfer.
     pub fn transfer(&mut self, t: &Translation, from: usize, to: usize, taken: bool) {
-        let vf = self.view(t, from);
-        let dp = if taken {
-            Some(vf.taken.unwrap_or_else(|| {
+        let src = t.slot(from);
+        let dp = match &src.alt {
+            // Shared base code dispatches the same way on every exit.
+            Some(alt) if self.in_side(from) => Some(&alt.fall),
+            _ if taken => Some(src.taken.as_ref().unwrap_or_else(|| {
                 panic!("instance {from} has no taken dispatch but VM took a branch")
-            }))
-        } else {
-            vf.fall
+            })),
+            _ => src.fall.as_ref(),
         };
 
-        // Update side-entry state before resolving the target's view.
+        // Update side-entry state before resolving the target.
+        let dst = t.slot(to);
         if taken {
-            self.side_until = t.slot(to).alt.map(|a| a.until);
+            self.side_until = dst.alt.map(|a| a.until);
         } else if self.side_until.is_some_and(|u| to as u32 > u) {
             self.side_until = None;
         }
+        let side = self.in_side(to);
 
         if let Some(dp) = dp {
-            let target = self.view(t, to).entry;
+            let target = match &dst.alt {
+                Some(alt) if side => alt.entry,
+                _ => dst.entry,
+            };
             self.engine.retire(dp.instrs);
             self.engine.fetch_code(dp.fetch.0, dp.fetch.1);
             self.engine.counters.dispatches += 1;
             self.engine.indirect(from, to, dp.branch, target);
         }
-        self.enter(t, to);
+        self.enter(t, to, side);
     }
 
     /// Finalises the run, attributing the translation's generated code size
@@ -547,6 +539,12 @@ mod tests {
         assert_eq!(log.borrow().0, 1, "capacity 1 flushes every event immediately");
         e.indirect(0, 1, 100, 7);
         assert_eq!(log.borrow().0, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch capacity must be at least 1")]
+    fn zero_capacity_batch_is_rejected() {
+        let _ = DispatchBatch::new(0);
     }
 
     #[test]

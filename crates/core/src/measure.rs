@@ -15,7 +15,7 @@ use ivm_cache::CpuSpec;
 use ivm_harness::span;
 
 use crate::engine::{Engine, RunResult, Runner};
-use crate::events::{Measurement, NullEvents, Tee, VmEvents};
+use crate::events::{Measurement, Tee, VmEvents};
 use crate::guest::{GuestVm, VmError, VmOutput};
 use crate::profile::{Profile, ProfileCollector};
 use crate::technique::Technique;
@@ -79,12 +79,18 @@ pub fn measure_with<G: GuestVm + ?Sized>(
     engine: Engine,
     training: Option<&Profile>,
 ) -> Result<(RunResult, VmOutput), VmError> {
-    measure_observed(vm, technique, engine, training, &mut NullEvents)
+    let mut measurement = measurement(vm, technique, engine, training);
+    let output = {
+        let _span = span::enter("execute");
+        vm.execute(&mut measurement, vm.default_fuel())?
+    };
+    Ok((measurement.finish(), output))
 }
 
 /// Like [`measure_with`], but tees the run's [`VmEvents`] stream into
-/// `extra` as well — the hook the observability layer uses to attach
-/// event counters or trace sinks without the VM crate depending on it.
+/// `extra` as well — the hook for attaching a profiler or an
+/// [`ExecutionTrace`] recorder to a measured run without the VM crate
+/// depending on it.
 ///
 /// # Errors
 ///
@@ -100,18 +106,28 @@ pub fn measure_observed<G: GuestVm + ?Sized>(
     training: Option<&Profile>,
     extra: &mut dyn VmEvents,
 ) -> Result<(RunResult, VmOutput), VmError> {
-    let translation = {
-        let _span = span::enter("translate");
-        translate(vm.spec(), vm.program(), technique, training, vm.super_selection())
-    };
-    let runner = Runner::new(engine);
-    let mut measurement = Measurement::new(translation, runner);
+    let mut measurement = measurement(vm, technique, engine, training);
     let mut tee = Tee { a: &mut measurement, b: extra };
     let output = {
         let _span = span::enter("execute");
         vm.execute(&mut tee, vm.default_fuel())?
     };
     Ok((measurement.finish(), output))
+}
+
+/// Translates `vm` under `technique` and couples the translation with a
+/// runner over `engine`.
+fn measurement<G: GuestVm + ?Sized>(
+    vm: &G,
+    technique: Technique,
+    engine: Engine,
+    training: Option<&Profile>,
+) -> Measurement {
+    let translation = {
+        let _span = span::enter("translate");
+        translate(vm.spec(), vm.program(), technique, training, vm.super_selection())
+    };
+    Measurement::new(translation, Runner::new(engine))
 }
 
 /// Records one run of `vm` as an [`ExecutionTrace`] (plus its output),
@@ -158,11 +174,7 @@ pub fn measure_trace_with<G: GuestVm + ?Sized>(
     engine: Engine,
     training: Option<&Profile>,
 ) -> RunResult {
-    let translation = {
-        let _span = span::enter("translate");
-        translate(vm.spec(), vm.program(), technique, training, vm.super_selection())
-    };
-    let mut measurement = Measurement::new(translation, Runner::new(engine));
+    let mut measurement = measurement(vm, technique, engine, training);
     {
         let _span = span::enter("simulate");
         trace.replay(&mut measurement);

@@ -84,7 +84,11 @@ impl ExecutionTrace {
     }
 
     /// Replays the recorded stream into `sink` in order.
-    pub fn replay(&self, sink: &mut dyn VmEvents) {
+    ///
+    /// Generic over the sink, so a replay into a concrete sink such as a
+    /// [`crate::Measurement`] makes no virtual call per event;
+    /// `&mut dyn VmEvents` sinks work too.
+    pub fn replay<S: VmEvents + ?Sized>(&self, sink: &mut S) {
         for &e in &self.events {
             match e {
                 Event::Begin { entry } => sink.begin(entry as usize),

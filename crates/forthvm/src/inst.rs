@@ -13,7 +13,7 @@ use std::sync::OnceLock;
 use ivm_core::{InstKind, NativeSpec, OpId, VmSpec};
 
 macro_rules! forth_ops {
-    ($(($field:ident, $name:literal, $instrs:literal, $bytes:literal, $kind:ident $(, $nr:ident)?)),+ $(,)?) => {
+    ($(($field:ident, $op:ident, $name:literal, $instrs:literal, $bytes:literal, $kind:ident $(, $nr:ident)?)),+ $(,)?) => {
         /// Opcode ids of every Forth VM instruction.
         #[derive(Debug, Clone)]
         #[allow(missing_docs)]
@@ -21,95 +21,183 @@ macro_rules! forth_ops {
             $(pub $field: OpId,)+
             /// The instruction-set description shared with `ivm-core`.
             pub spec: VmSpec,
+            /// What each opcode does, indexed by [`OpId`].
+            ops: Vec<Op>,
         }
 
         fn build() -> ForthOps {
             let mut b = VmSpec::builder("forth");
+            let mut ops = Vec::new();
             $(
                 #[allow(unused_mut)]
                 let mut native = NativeSpec::new($instrs, $bytes, InstKind::$kind);
                 $(native = native.$nr();)?
                 let $field = b.inst($name, native);
+                assert_eq!(usize::from($field), ops.len(), "opcode ids are dense");
+                ops.push(Op::$op);
             )+
-            ForthOps { $($field,)+ spec: b.build() }
+            ForthOps { $($field,)+ spec: b.build(), ops }
         }
     };
 }
 
+/// What a Forth instruction does: the interpreter's `match` key.
+///
+/// Opcode ids are assigned at run time by the [`VmSpec`] builder, so the
+/// interpreter cannot match on them directly; [`ForthOps::op`] maps an id
+/// to its dense kind through a table built once with the ids. Opcodes
+/// with the same semantics share a kind (`@`/`c@`, `!`/`c!`: memory is
+/// cell-addressed).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub(crate) enum Op {
+    Lit,
+    Fetch,
+    Store,
+    PlusStore,
+    Dup,
+    Drop,
+    Swap,
+    Over,
+    Rot,
+    Nip,
+    Tuck,
+    QDup,
+    TwoDup,
+    TwoDrop,
+    Depth,
+    ToR,
+    RFrom,
+    RFetch,
+    Add,
+    Sub,
+    Mul,
+    Div,
+    Mod,
+    Negate,
+    Abs,
+    Min,
+    Max,
+    And,
+    Or,
+    Xor,
+    Invert,
+    Lshift,
+    Rshift,
+    OnePlus,
+    OneMinus,
+    TwoStar,
+    TwoSlash,
+    Cells,
+    Eq,
+    Ne,
+    Lt,
+    Gt,
+    Le,
+    Ge,
+    ZeroEq,
+    ZeroLt,
+    ZeroGt,
+    Do,
+    Loop,
+    PlusLoop,
+    Pick,
+    I,
+    J,
+    Unloop,
+    LeaveCheck,
+    ZBranch,
+    Branch,
+    Call,
+    Exit,
+    Halt,
+    Emit,
+    Dot,
+    Cr,
+}
+
+impl ForthOps {
+    /// The kind of opcode `op`.
+    #[inline]
+    pub(crate) fn op(&self, op: OpId) -> Op {
+        self.ops[usize::from(op)]
+    }
+}
+
 forth_ops![
     // Literals and memory.
-    (lit, "lit", 3, 10, Plain),
-    (fetch, "@", 2, 6, Plain),
-    (store, "!", 3, 9, Plain),
-    (cfetch, "c@", 2, 7, Plain),
-    (cstore, "c!", 3, 10, Plain),
-    (plus_store, "+!", 4, 12, Plain),
+    (lit, Lit, "lit", 3, 10, Plain),
+    (fetch, Fetch, "@", 2, 6, Plain),
+    (store, Store, "!", 3, 9, Plain),
+    (cfetch, Fetch, "c@", 2, 7, Plain),
+    (cstore, Store, "c!", 3, 10, Plain),
+    (plus_store, PlusStore, "+!", 4, 12, Plain),
     // Data stack.
-    (dup, "dup", 2, 6, Plain),
-    (drop, "drop", 1, 4, Plain),
-    (swap, "swap", 3, 8, Plain),
-    (over, "over", 2, 7, Plain),
-    (rot, "rot", 4, 11, Plain),
-    (nip, "nip", 2, 6, Plain),
-    (tuck, "tuck", 3, 9, Plain),
-    (qdup, "?dup", 3, 11, Plain),
-    (two_dup, "2dup", 4, 12, Plain),
-    (two_drop, "2drop", 2, 7, Plain),
-    (depth, "depth", 3, 9, Plain),
+    (dup, Dup, "dup", 2, 6, Plain),
+    (drop, Drop, "drop", 1, 4, Plain),
+    (swap, Swap, "swap", 3, 8, Plain),
+    (over, Over, "over", 2, 7, Plain),
+    (rot, Rot, "rot", 4, 11, Plain),
+    (nip, Nip, "nip", 2, 6, Plain),
+    (tuck, Tuck, "tuck", 3, 9, Plain),
+    (qdup, QDup, "?dup", 3, 11, Plain),
+    (two_dup, TwoDup, "2dup", 4, 12, Plain),
+    (two_drop, TwoDrop, "2drop", 2, 7, Plain),
+    (depth, Depth, "depth", 3, 9, Plain),
     // Return stack.
-    (to_r, ">r", 3, 8, Plain),
-    (r_from, "r>", 3, 8, Plain),
-    (r_fetch, "r@", 2, 6, Plain),
+    (to_r, ToR, ">r", 3, 8, Plain),
+    (r_from, RFrom, "r>", 3, 8, Plain),
+    (r_fetch, RFetch, "r@", 2, 6, Plain),
     // Arithmetic and logic.
-    (add, "+", 2, 6, Plain),
-    (sub, "-", 2, 6, Plain),
-    (mul, "*", 3, 8, Plain),
-    (div, "/", 6, 14, Plain),
-    (mod_, "mod", 6, 14, Plain),
-    (negate, "negate", 2, 6, Plain),
-    (abs_, "abs", 3, 9, Plain),
-    (min_, "min", 4, 10, Plain),
-    (max_, "max", 4, 10, Plain),
-    (and_, "and", 2, 6, Plain),
-    (or_, "or", 2, 6, Plain),
-    (xor_, "xor", 2, 6, Plain),
-    (invert, "invert", 2, 5, Plain),
-    (lshift, "lshift", 3, 8, Plain),
-    (rshift, "rshift", 3, 8, Plain),
-    (one_plus, "1+", 1, 4, Plain),
-    (one_minus, "1-", 1, 4, Plain),
-    (two_star, "2*", 1, 4, Plain),
-    (two_slash, "2/", 1, 4, Plain),
-    (cells, "cells", 1, 4, Plain),
+    (add, Add, "+", 2, 6, Plain),
+    (sub, Sub, "-", 2, 6, Plain),
+    (mul, Mul, "*", 3, 8, Plain),
+    (div, Div, "/", 6, 14, Plain),
+    (mod_, Mod, "mod", 6, 14, Plain),
+    (negate, Negate, "negate", 2, 6, Plain),
+    (abs_, Abs, "abs", 3, 9, Plain),
+    (min_, Min, "min", 4, 10, Plain),
+    (max_, Max, "max", 4, 10, Plain),
+    (and_, And, "and", 2, 6, Plain),
+    (or_, Or, "or", 2, 6, Plain),
+    (xor_, Xor, "xor", 2, 6, Plain),
+    (invert, Invert, "invert", 2, 5, Plain),
+    (lshift, Lshift, "lshift", 3, 8, Plain),
+    (rshift, Rshift, "rshift", 3, 8, Plain),
+    (one_plus, OnePlus, "1+", 1, 4, Plain),
+    (one_minus, OneMinus, "1-", 1, 4, Plain),
+    (two_star, TwoStar, "2*", 1, 4, Plain),
+    (two_slash, TwoSlash, "2/", 1, 4, Plain),
+    (cells, Cells, "cells", 1, 4, Plain),
     // Comparisons (Forth flags: -1 true, 0 false).
-    (eq, "=", 3, 9, Plain),
-    (ne, "<>", 3, 9, Plain),
-    (lt, "<", 3, 9, Plain),
-    (gt, ">", 3, 9, Plain),
-    (le, "<=", 3, 9, Plain),
-    (ge, ">=", 3, 9, Plain),
-    (zero_eq, "0=", 2, 7, Plain),
-    (zero_lt, "0<", 2, 7, Plain),
-    (zero_gt, "0>", 2, 7, Plain),
+    (eq, Eq, "=", 3, 9, Plain),
+    (ne, Ne, "<>", 3, 9, Plain),
+    (lt, Lt, "<", 3, 9, Plain),
+    (gt, Gt, ">", 3, 9, Plain),
+    (le, Le, "<=", 3, 9, Plain),
+    (ge, Ge, ">=", 3, 9, Plain),
+    (zero_eq, ZeroEq, "0=", 2, 7, Plain),
+    (zero_lt, ZeroLt, "0<", 2, 7, Plain),
+    (zero_gt, ZeroGt, "0>", 2, 7, Plain),
     // Counted loops.
-    (do_, "(do)", 4, 12, Plain),
-    (loop_, "(loop)", 5, 16, CondBranch),
-    (plus_loop, "(+loop)", 6, 18, CondBranch),
-    (pick, "pick", 4, 11, Plain),
-    (i_, "i", 2, 6, Plain),
-    (j_, "j", 2, 7, Plain),
-    (unloop, "unloop", 2, 7, Plain),
-    (leave_check, "(leave?)", 4, 13, CondBranch),
+    (do_, Do, "(do)", 4, 12, Plain),
+    (loop_, Loop, "(loop)", 5, 16, CondBranch),
+    (plus_loop, PlusLoop, "(+loop)", 6, 18, CondBranch),
+    (pick, Pick, "pick", 4, 11, Plain),
+    (i_, I, "i", 2, 6, Plain),
+    (j_, J, "j", 2, 7, Plain),
+    (unloop, Unloop, "unloop", 2, 7, Plain),
+    (leave_check, LeaveCheck, "(leave?)", 4, 13, CondBranch),
     // Control flow.
-    (zbranch, "(0branch)", 4, 14, CondBranch),
-    (branch, "(branch)", 2, 8, Jump),
-    (call, "(call)", 4, 12, Call),
-    (exit, "exit", 3, 10, Return),
-    (halt, "(halt)", 1, 4, Return),
+    (zbranch, ZBranch, "(0branch)", 4, 14, CondBranch),
+    (branch, Branch, "(branch)", 2, 8, Jump),
+    (call, Call, "(call)", 4, 12, Call),
+    (exit, Exit, "exit", 3, 10, Return),
+    (halt, Halt, "(halt)", 1, 4, Return),
     // Runtime services (call into libc-style helpers: non-relocatable).
-    (emit, "emit", 12, 30, Plain, non_relocatable),
-    (dot, ".", 30, 60, Plain, non_relocatable),
-    (cr, "cr", 10, 26, Plain, non_relocatable),
+    (emit, Emit, "emit", 12, 30, Plain, non_relocatable),
+    (dot, Dot, ".", 30, 60, Plain, non_relocatable),
+    (cr, Cr, "cr", 10, 26, Plain, non_relocatable),
 ];
 
 /// The process-wide Forth instruction set.
@@ -160,6 +248,16 @@ mod tests {
         assert!(o.spec.len() > 50, "Gforth-like VMs have a rich instruction set");
         assert_eq!(o.spec.find("+"), Some(o.add));
         assert_eq!(o.spec.find("(0branch)"), Some(o.zbranch));
+    }
+
+    #[test]
+    fn op_table_covers_every_opcode() {
+        let o = ops();
+        assert_eq!(o.ops.len(), o.spec.len());
+        assert_eq!(o.op(o.add), Op::Add);
+        assert_eq!(o.op(o.fetch), o.op(o.cfetch), "@ and c@ share semantics");
+        assert_eq!(o.op(o.store), o.op(o.cstore), "! and c! share semantics");
+        assert_eq!(o.op(o.cr), Op::Cr);
     }
 
     #[test]

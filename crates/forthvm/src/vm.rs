@@ -5,7 +5,7 @@
 use ivm_core::{GuestVm, ProgramCode, SuperSelection, VmError, VmEvents, VmOutput, VmSpec};
 
 use crate::compiler::Image;
-use crate::inst::ops;
+use crate::inst::{ops, Op};
 
 /// Default fuel for benchmark runs (VM instructions).
 pub const DEFAULT_FUEL: u64 = 100_000_000;
@@ -89,349 +89,404 @@ pub fn run(image: &Image, events: &mut dyn VmEvents, fuel: u64) -> Result<VmOutp
             a as usize
         }};
     }
+    macro_rules! target {
+        ($what:literal) => {
+            program.target(ip).expect($what)
+        };
+    }
 
     loop {
         steps += 1;
         if steps > fuel {
             return Err(VmError::FuelExhausted(fuel));
         }
-        let op = program.op(ip);
-        let operand = image.operands[ip];
-        let target = program.target(ip);
-
-        let flow = if op == o.lit {
-            stack.push(operand);
-            Flow::Next
-        } else if op == o.add {
-            let b = pop!();
-            let a = pop!();
-            stack.push(a.wrapping_add(b));
-            Flow::Next
-        } else if op == o.sub {
-            let b = pop!();
-            let a = pop!();
-            stack.push(a.wrapping_sub(b));
-            Flow::Next
-        } else if op == o.mul {
-            let b = pop!();
-            let a = pop!();
-            stack.push(a.wrapping_mul(b));
-            Flow::Next
-        } else if op == o.div {
-            let b = pop!();
-            let a = pop!();
-            if b == 0 {
-                return Err(VmError::DivisionByZero(ip));
+        let flow = match o.op(program.op(ip)) {
+            Op::Lit => {
+                stack.push(image.operands[ip]);
+                Flow::Next
             }
-            stack.push(a.wrapping_div(b));
-            Flow::Next
-        } else if op == o.mod_ {
-            let b = pop!();
-            let a = pop!();
-            if b == 0 {
-                return Err(VmError::DivisionByZero(ip));
+            Op::Add => {
+                let b = pop!();
+                let a = pop!();
+                stack.push(a.wrapping_add(b));
+                Flow::Next
             }
-            stack.push(a.wrapping_rem(b));
-            Flow::Next
-        } else if op == o.negate {
-            let a = pop!();
-            stack.push(a.wrapping_neg());
-            Flow::Next
-        } else if op == o.abs_ {
-            let a = pop!();
-            stack.push(a.wrapping_abs());
-            Flow::Next
-        } else if op == o.min_ {
-            let b = pop!();
-            let a = pop!();
-            stack.push(a.min(b));
-            Flow::Next
-        } else if op == o.max_ {
-            let b = pop!();
-            let a = pop!();
-            stack.push(a.max(b));
-            Flow::Next
-        } else if op == o.and_ {
-            let b = pop!();
-            let a = pop!();
-            stack.push(a & b);
-            Flow::Next
-        } else if op == o.or_ {
-            let b = pop!();
-            let a = pop!();
-            stack.push(a | b);
-            Flow::Next
-        } else if op == o.xor_ {
-            let b = pop!();
-            let a = pop!();
-            stack.push(a ^ b);
-            Flow::Next
-        } else if op == o.invert {
-            let a = pop!();
-            stack.push(!a);
-            Flow::Next
-        } else if op == o.lshift {
-            let b = pop!();
-            let a = pop!();
-            stack.push(a.wrapping_shl(b as u32));
-            Flow::Next
-        } else if op == o.rshift {
-            let b = pop!();
-            let a = pop!();
-            stack.push(((a as u64) >> (b as u32 & 63)) as i64);
-            Flow::Next
-        } else if op == o.one_plus {
-            let a = pop!();
-            stack.push(a.wrapping_add(1));
-            Flow::Next
-        } else if op == o.one_minus {
-            let a = pop!();
-            stack.push(a.wrapping_sub(1));
-            Flow::Next
-        } else if op == o.two_star {
-            let a = pop!();
-            stack.push(a.wrapping_shl(1));
-            Flow::Next
-        } else if op == o.two_slash {
-            let a = pop!();
-            stack.push(a >> 1);
-            Flow::Next
-        } else if op == o.cells {
-            // Memory is cell-addressed: CELLS is the identity scale.
-            Flow::Next
-        } else if op == o.eq {
-            let b = pop!();
-            let a = pop!();
-            stack.push(if a == b { -1 } else { 0 });
-            Flow::Next
-        } else if op == o.ne {
-            let b = pop!();
-            let a = pop!();
-            stack.push(if a != b { -1 } else { 0 });
-            Flow::Next
-        } else if op == o.lt {
-            let b = pop!();
-            let a = pop!();
-            stack.push(if a < b { -1 } else { 0 });
-            Flow::Next
-        } else if op == o.gt {
-            let b = pop!();
-            let a = pop!();
-            stack.push(if a > b { -1 } else { 0 });
-            Flow::Next
-        } else if op == o.le {
-            let b = pop!();
-            let a = pop!();
-            stack.push(if a <= b { -1 } else { 0 });
-            Flow::Next
-        } else if op == o.ge {
-            let b = pop!();
-            let a = pop!();
-            stack.push(if a >= b { -1 } else { 0 });
-            Flow::Next
-        } else if op == o.zero_eq {
-            let a = pop!();
-            stack.push(if a == 0 { -1 } else { 0 });
-            Flow::Next
-        } else if op == o.zero_lt {
-            let a = pop!();
-            stack.push(if a < 0 { -1 } else { 0 });
-            Flow::Next
-        } else if op == o.zero_gt {
-            let a = pop!();
-            stack.push(if a > 0 { -1 } else { 0 });
-            Flow::Next
-        } else if op == o.dup {
-            let a = pop!();
-            stack.push(a);
-            stack.push(a);
-            Flow::Next
-        } else if op == o.drop {
-            pop!();
-            Flow::Next
-        } else if op == o.swap {
-            let b = pop!();
-            let a = pop!();
-            stack.push(b);
-            stack.push(a);
-            Flow::Next
-        } else if op == o.over {
-            let b = pop!();
-            let a = pop!();
-            stack.push(a);
-            stack.push(b);
-            stack.push(a);
-            Flow::Next
-        } else if op == o.rot {
-            let c = pop!();
-            let b = pop!();
-            let a = pop!();
-            stack.push(b);
-            stack.push(c);
-            stack.push(a);
-            Flow::Next
-        } else if op == o.nip {
-            let b = pop!();
-            pop!();
-            stack.push(b);
-            Flow::Next
-        } else if op == o.tuck {
-            let b = pop!();
-            let a = pop!();
-            stack.push(b);
-            stack.push(a);
-            stack.push(b);
-            Flow::Next
-        } else if op == o.qdup {
-            let a = pop!();
-            stack.push(a);
-            if a != 0 {
+            Op::Sub => {
+                let b = pop!();
+                let a = pop!();
+                stack.push(a.wrapping_sub(b));
+                Flow::Next
+            }
+            Op::Mul => {
+                let b = pop!();
+                let a = pop!();
+                stack.push(a.wrapping_mul(b));
+                Flow::Next
+            }
+            Op::Div => {
+                let b = pop!();
+                let a = pop!();
+                if b == 0 {
+                    return Err(VmError::DivisionByZero(ip));
+                }
+                stack.push(a.wrapping_div(b));
+                Flow::Next
+            }
+            Op::Mod => {
+                let b = pop!();
+                let a = pop!();
+                if b == 0 {
+                    return Err(VmError::DivisionByZero(ip));
+                }
+                stack.push(a.wrapping_rem(b));
+                Flow::Next
+            }
+            Op::Negate => {
+                let a = pop!();
+                stack.push(a.wrapping_neg());
+                Flow::Next
+            }
+            Op::Abs => {
+                let a = pop!();
+                stack.push(a.wrapping_abs());
+                Flow::Next
+            }
+            Op::Min => {
+                let b = pop!();
+                let a = pop!();
+                stack.push(a.min(b));
+                Flow::Next
+            }
+            Op::Max => {
+                let b = pop!();
+                let a = pop!();
+                stack.push(a.max(b));
+                Flow::Next
+            }
+            Op::And => {
+                let b = pop!();
+                let a = pop!();
+                stack.push(a & b);
+                Flow::Next
+            }
+            Op::Or => {
+                let b = pop!();
+                let a = pop!();
+                stack.push(a | b);
+                Flow::Next
+            }
+            Op::Xor => {
+                let b = pop!();
+                let a = pop!();
+                stack.push(a ^ b);
+                Flow::Next
+            }
+            Op::Invert => {
+                let a = pop!();
+                stack.push(!a);
+                Flow::Next
+            }
+            Op::Lshift => {
+                let b = pop!();
+                let a = pop!();
+                stack.push(a.wrapping_shl(b as u32));
+                Flow::Next
+            }
+            Op::Rshift => {
+                let b = pop!();
+                let a = pop!();
+                stack.push(((a as u64) >> (b as u32 & 63)) as i64);
+                Flow::Next
+            }
+            Op::OnePlus => {
+                let a = pop!();
+                stack.push(a.wrapping_add(1));
+                Flow::Next
+            }
+            Op::OneMinus => {
+                let a = pop!();
+                stack.push(a.wrapping_sub(1));
+                Flow::Next
+            }
+            Op::TwoStar => {
+                let a = pop!();
+                stack.push(a.wrapping_shl(1));
+                Flow::Next
+            }
+            Op::TwoSlash => {
+                let a = pop!();
+                stack.push(a >> 1);
+                Flow::Next
+            }
+            Op::Cells => {
+                // Memory is cell-addressed: CELLS is the identity scale.
+                Flow::Next
+            }
+            Op::Eq => {
+                let b = pop!();
+                let a = pop!();
+                stack.push(if a == b { -1 } else { 0 });
+                Flow::Next
+            }
+            Op::Ne => {
+                let b = pop!();
+                let a = pop!();
+                stack.push(if a != b { -1 } else { 0 });
+                Flow::Next
+            }
+            Op::Lt => {
+                let b = pop!();
+                let a = pop!();
+                stack.push(if a < b { -1 } else { 0 });
+                Flow::Next
+            }
+            Op::Gt => {
+                let b = pop!();
+                let a = pop!();
+                stack.push(if a > b { -1 } else { 0 });
+                Flow::Next
+            }
+            Op::Le => {
+                let b = pop!();
+                let a = pop!();
+                stack.push(if a <= b { -1 } else { 0 });
+                Flow::Next
+            }
+            Op::Ge => {
+                let b = pop!();
+                let a = pop!();
+                stack.push(if a >= b { -1 } else { 0 });
+                Flow::Next
+            }
+            Op::ZeroEq => {
+                let a = pop!();
+                stack.push(if a == 0 { -1 } else { 0 });
+                Flow::Next
+            }
+            Op::ZeroLt => {
+                let a = pop!();
+                stack.push(if a < 0 { -1 } else { 0 });
+                Flow::Next
+            }
+            Op::ZeroGt => {
+                let a = pop!();
+                stack.push(if a > 0 { -1 } else { 0 });
+                Flow::Next
+            }
+            Op::Dup => {
+                let a = pop!();
                 stack.push(a);
+                stack.push(a);
+                Flow::Next
             }
-            Flow::Next
-        } else if op == o.two_dup {
-            let b = pop!();
-            let a = pop!();
-            stack.push(a);
-            stack.push(b);
-            stack.push(a);
-            stack.push(b);
-            Flow::Next
-        } else if op == o.two_drop {
-            pop!();
-            pop!();
-            Flow::Next
-        } else if op == o.depth {
-            stack.push(stack.len() as i64);
-            Flow::Next
-        } else if op == o.to_r {
-            rstack.push(pop!());
-            Flow::Next
-        } else if op == o.r_from {
-            match rstack.pop() {
-                Some(v) => stack.push(v),
-                None => return Err(VmError::StackUnderflow(ip)),
+            Op::Drop => {
+                pop!();
+                Flow::Next
             }
-            Flow::Next
-        } else if op == o.r_fetch {
-            match rstack.last() {
-                Some(&v) => stack.push(v),
-                None => return Err(VmError::StackUnderflow(ip)),
+            Op::Swap => {
+                let b = pop!();
+                let a = pop!();
+                stack.push(b);
+                stack.push(a);
+                Flow::Next
             }
-            Flow::Next
-        } else if op == o.fetch || op == o.cfetch {
-            let a = addr!(pop!());
-            stack.push(mem[a]);
-            Flow::Next
-        } else if op == o.store || op == o.cstore {
-            let a = addr!(pop!());
-            let v = pop!();
-            mem[a] = v;
-            Flow::Next
-        } else if op == o.plus_store {
-            let a = addr!(pop!());
-            let v = pop!();
-            mem[a] = mem[a].wrapping_add(v);
-            Flow::Next
-        } else if op == o.do_ {
-            let start = pop!();
-            let limit = pop!();
-            loops.push((start, limit));
-            Flow::Next
-        } else if op == o.loop_ {
-            match loops.last_mut() {
+            Op::Over => {
+                let b = pop!();
+                let a = pop!();
+                stack.push(a);
+                stack.push(b);
+                stack.push(a);
+                Flow::Next
+            }
+            Op::Rot => {
+                let c = pop!();
+                let b = pop!();
+                let a = pop!();
+                stack.push(b);
+                stack.push(c);
+                stack.push(a);
+                Flow::Next
+            }
+            Op::Nip => {
+                let b = pop!();
+                pop!();
+                stack.push(b);
+                Flow::Next
+            }
+            Op::Tuck => {
+                let b = pop!();
+                let a = pop!();
+                stack.push(b);
+                stack.push(a);
+                stack.push(b);
+                Flow::Next
+            }
+            Op::QDup => {
+                let a = pop!();
+                stack.push(a);
+                if a != 0 {
+                    stack.push(a);
+                }
+                Flow::Next
+            }
+            Op::TwoDup => {
+                let b = pop!();
+                let a = pop!();
+                stack.push(a);
+                stack.push(b);
+                stack.push(a);
+                stack.push(b);
+                Flow::Next
+            }
+            Op::TwoDrop => {
+                pop!();
+                pop!();
+                Flow::Next
+            }
+            Op::Depth => {
+                stack.push(stack.len() as i64);
+                Flow::Next
+            }
+            Op::ToR => {
+                rstack.push(pop!());
+                Flow::Next
+            }
+            Op::RFrom => {
+                match rstack.pop() {
+                    Some(v) => stack.push(v),
+                    None => return Err(VmError::StackUnderflow(ip)),
+                }
+                Flow::Next
+            }
+            Op::RFetch => {
+                match rstack.last() {
+                    Some(&v) => stack.push(v),
+                    None => return Err(VmError::StackUnderflow(ip)),
+                }
+                Flow::Next
+            }
+            Op::Fetch => {
+                let a = addr!(pop!());
+                stack.push(mem[a]);
+                Flow::Next
+            }
+            Op::Store => {
+                let a = addr!(pop!());
+                let v = pop!();
+                mem[a] = v;
+                Flow::Next
+            }
+            Op::PlusStore => {
+                let a = addr!(pop!());
+                let v = pop!();
+                mem[a] = mem[a].wrapping_add(v);
+                Flow::Next
+            }
+            Op::Do => {
+                let start = pop!();
+                let limit = pop!();
+                loops.push((start, limit));
+                Flow::Next
+            }
+            Op::Loop => match loops.last_mut() {
                 Some((index, limit)) => {
                     *index += 1;
                     if *index < *limit {
-                        Flow::Taken(target.expect("loop has a target"))
+                        Flow::Taken(target!("loop has a target"))
                     } else {
                         loops.pop();
                         Flow::Next
                     }
                 }
                 None => return Err(VmError::StackUnderflow(ip)),
-            }
-        } else if op == o.plus_loop {
-            let step = pop!();
-            match loops.last_mut() {
-                Some((index, limit)) => {
-                    *index = index.wrapping_add(step);
-                    let continue_ = if step >= 0 { *index < *limit } else { *index > *limit };
-                    if continue_ {
-                        Flow::Taken(target.expect("+loop has a target"))
-                    } else {
-                        loops.pop();
-                        Flow::Next
+            },
+            Op::PlusLoop => {
+                let step = pop!();
+                match loops.last_mut() {
+                    Some((index, limit)) => {
+                        *index = index.wrapping_add(step);
+                        let continue_ = if step >= 0 { *index < *limit } else { *index > *limit };
+                        if continue_ {
+                            Flow::Taken(target!("+loop has a target"))
+                        } else {
+                            loops.pop();
+                            Flow::Next
+                        }
                     }
+                    None => return Err(VmError::StackUnderflow(ip)),
                 }
-                None => return Err(VmError::StackUnderflow(ip)),
             }
-        } else if op == o.pick {
-            let n = pop!();
-            let len = stack.len() as i64;
-            if n < 0 || n >= len {
-                return Err(VmError::StackUnderflow(ip));
-            }
-            stack.push(stack[(len - 1 - n) as usize]);
-            Flow::Next
-        } else if op == o.i_ {
-            match loops.last() {
-                Some(&(index, _)) => stack.push(index),
-                None => return Err(VmError::StackUnderflow(ip)),
-            }
-            Flow::Next
-        } else if op == o.j_ {
-            if loops.len() < 2 {
-                return Err(VmError::StackUnderflow(ip));
-            }
-            stack.push(loops[loops.len() - 2].0);
-            Flow::Next
-        } else if op == o.unloop {
-            if loops.pop().is_none() {
-                return Err(VmError::StackUnderflow(ip));
-            }
-            Flow::Next
-        } else if op == o.leave_check {
-            let flag = pop!();
-            if flag != 0 {
-                loops.pop();
-                Flow::Taken(target.expect("leave has a target"))
-            } else {
+            Op::Pick => {
+                let n = pop!();
+                let len = stack.len() as i64;
+                if n < 0 || n >= len {
+                    return Err(VmError::StackUnderflow(ip));
+                }
+                stack.push(stack[(len - 1 - n) as usize]);
                 Flow::Next
             }
-        } else if op == o.zbranch {
-            let flag = pop!();
-            if flag == 0 {
-                Flow::Taken(target.expect("0branch has a target"))
-            } else {
+            Op::I => {
+                match loops.last() {
+                    Some(&(index, _)) => stack.push(index),
+                    None => return Err(VmError::StackUnderflow(ip)),
+                }
                 Flow::Next
             }
-        } else if op == o.branch {
-            Flow::Taken(target.expect("branch has a target"))
-        } else if op == o.call {
-            calls.push(ip + 1);
-            Flow::Taken(target.expect("call has a target"))
-        } else if op == o.exit {
-            match calls.pop() {
+            Op::J => {
+                if loops.len() < 2 {
+                    return Err(VmError::StackUnderflow(ip));
+                }
+                stack.push(loops[loops.len() - 2].0);
+                Flow::Next
+            }
+            Op::Unloop => {
+                if loops.pop().is_none() {
+                    return Err(VmError::StackUnderflow(ip));
+                }
+                Flow::Next
+            }
+            Op::LeaveCheck => {
+                let flag = pop!();
+                if flag != 0 {
+                    loops.pop();
+                    Flow::Taken(target!("leave has a target"))
+                } else {
+                    Flow::Next
+                }
+            }
+            Op::ZBranch => {
+                let flag = pop!();
+                if flag == 0 {
+                    Flow::Taken(target!("0branch has a target"))
+                } else {
+                    Flow::Next
+                }
+            }
+            Op::Branch => Flow::Taken(target!("branch has a target")),
+            Op::Call => {
+                calls.push(ip + 1);
+                Flow::Taken(target!("call has a target"))
+            }
+            Op::Exit => match calls.pop() {
                 Some(ret) => Flow::Taken(ret),
                 None => return Err(VmError::StackUnderflow(ip)),
+            },
+            Op::Halt => Flow::Halt,
+            Op::Emit => {
+                let c = pop!();
+                text.push(char::from_u32(c as u32 & 0x7f).unwrap_or('?'));
+                Flow::Next
             }
-        } else if op == o.halt {
-            Flow::Halt
-        } else if op == o.emit {
-            let c = pop!();
-            text.push(char::from_u32(c as u32 & 0x7f).unwrap_or('?'));
-            Flow::Next
-        } else if op == o.dot {
-            let v = pop!();
-            text.push_str(&v.to_string());
-            text.push(' ');
-            Flow::Next
-        } else if op == o.cr {
-            text.push('\n');
-            Flow::Next
-        } else {
-            unreachable!("unhandled forth op {}", o.spec.name(op));
+            Op::Dot => {
+                let v = pop!();
+                text.push_str(&v.to_string());
+                text.push(' ');
+                Flow::Next
+            }
+            Op::Cr => {
+                text.push('\n');
+                Flow::Next
+            }
         };
 
         match flow {

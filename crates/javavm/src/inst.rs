@@ -99,6 +99,84 @@ pub struct JavaOps {
     pub new_: OpId,
     /// The instruction-set description shared with `ivm-core`.
     pub spec: VmSpec,
+    /// What each opcode does, indexed by [`OpId`].
+    ops: Vec<Op>,
+}
+
+/// What a mini-JVM instruction does: the interpreter's `match` key.
+///
+/// Opcode ids are assigned at run time by the [`VmSpec`] builder, so the
+/// interpreter cannot match on them directly; [`JavaOps::op`] maps an id
+/// to its dense kind through a table built once with the ids. Opcodes
+/// with the same semantics share a kind (`iload_<n>` carries its index
+/// as the operand; the word and byte quick field forms differ only in
+/// native code size).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub(crate) enum Op {
+    Ldc,
+    Iload,
+    Istore,
+    Iinc,
+    Pop,
+    Dup,
+    DupX1,
+    Swap,
+    Iadd,
+    Isub,
+    Imul,
+    Idiv,
+    Irem,
+    Ineg,
+    Ishl,
+    Ishr,
+    Iand,
+    Ior,
+    Ixor,
+    Ifeq,
+    Ifne,
+    Iflt,
+    Ifge,
+    Ifgt,
+    Ifle,
+    IfIcmpeq,
+    IfIcmpne,
+    IfIcmplt,
+    IfIcmpge,
+    IfIcmpgt,
+    IfIcmple,
+    Goto,
+    Invokestatic,
+    Ireturn,
+    Return,
+    Halt,
+    Newarray,
+    Iaload,
+    Iastore,
+    Arraylength,
+    PrintInt,
+    Athrow,
+    Tableswitch,
+    GetfieldQuick,
+    PutfieldQuick,
+    GetstaticQuick,
+    PutstaticQuick,
+    InvokevirtualQuick,
+    NewQuick,
+    Getfield,
+    Putfield,
+    Getstatic,
+    Putstatic,
+    Invokevirtual,
+    New,
+}
+
+impl JavaOps {
+    /// The kind of opcode `op`.
+    #[inline]
+    pub(crate) fn op(&self, op: OpId) -> Op {
+        self.ops[usize::from(op)]
+    }
 }
 
 fn build() -> JavaOps {
@@ -184,6 +262,79 @@ fn build() -> JavaOps {
     let invokevirtual = b.quickable("invokevirtual", q(260, 380), vec![invokevirtual_quick]);
     let new_ = b.quickable("new", q(300, 420), vec![new_quick]);
 
+    let spec = b.build();
+    let mut ops = vec![None; spec.len()];
+    for (id, op) in [
+        (ldc, Op::Ldc),
+        (iload, Op::Iload),
+        (iload_0, Op::Iload),
+        (iload_1, Op::Iload),
+        (iload_2, Op::Iload),
+        (iload_3, Op::Iload),
+        (istore, Op::Istore),
+        (istore_0, Op::Istore),
+        (istore_1, Op::Istore),
+        (istore_2, Op::Istore),
+        (istore_3, Op::Istore),
+        (iinc, Op::Iinc),
+        (pop, Op::Pop),
+        (dup, Op::Dup),
+        (dup_x1, Op::DupX1),
+        (swap, Op::Swap),
+        (iadd, Op::Iadd),
+        (isub, Op::Isub),
+        (imul, Op::Imul),
+        (idiv, Op::Idiv),
+        (irem, Op::Irem),
+        (ineg, Op::Ineg),
+        (ishl, Op::Ishl),
+        (ishr, Op::Ishr),
+        (iand, Op::Iand),
+        (ior, Op::Ior),
+        (ixor, Op::Ixor),
+        (ifeq, Op::Ifeq),
+        (ifne, Op::Ifne),
+        (iflt, Op::Iflt),
+        (ifge, Op::Ifge),
+        (ifgt, Op::Ifgt),
+        (ifle, Op::Ifle),
+        (if_icmpeq, Op::IfIcmpeq),
+        (if_icmpne, Op::IfIcmpne),
+        (if_icmplt, Op::IfIcmplt),
+        (if_icmpge, Op::IfIcmpge),
+        (if_icmpgt, Op::IfIcmpgt),
+        (if_icmple, Op::IfIcmple),
+        (goto_, Op::Goto),
+        (invokestatic, Op::Invokestatic),
+        (ireturn, Op::Ireturn),
+        (return_, Op::Return),
+        (halt, Op::Halt),
+        (newarray, Op::Newarray),
+        (iaload, Op::Iaload),
+        (iastore, Op::Iastore),
+        (arraylength, Op::Arraylength),
+        (print_int, Op::PrintInt),
+        (athrow, Op::Athrow),
+        (tableswitch, Op::Tableswitch),
+        (getfield_quick_w, Op::GetfieldQuick),
+        (getfield_quick_b, Op::GetfieldQuick),
+        (putfield_quick_w, Op::PutfieldQuick),
+        (putfield_quick_b, Op::PutfieldQuick),
+        (getstatic_quick, Op::GetstaticQuick),
+        (putstatic_quick, Op::PutstaticQuick),
+        (invokevirtual_quick, Op::InvokevirtualQuick),
+        (new_quick, Op::NewQuick),
+        (getfield, Op::Getfield),
+        (putfield, Op::Putfield),
+        (getstatic, Op::Getstatic),
+        (putstatic, Op::Putstatic),
+        (invokevirtual, Op::Invokevirtual),
+        (new_, Op::New),
+    ] {
+        ops[usize::from(id)] = Some(op);
+    }
+    let ops = ops.into_iter().map(|op| op.expect("every opcode has a kind")).collect();
+
     JavaOps {
         ldc,
         iload,
@@ -250,7 +401,8 @@ fn build() -> JavaOps {
         putstatic,
         invokevirtual,
         new_,
-        spec: b.build(),
+        spec,
+        ops,
     }
 }
 
@@ -295,6 +447,18 @@ mod tests {
             o.spec.max_quick_bytes(o.getfield),
             o.spec.native(o.getfield_quick_b).work_bytes
         );
+    }
+
+    #[test]
+    fn op_table_separates_quick_forms() {
+        let o = ops();
+        assert_eq!(o.ops.len(), o.spec.len());
+        assert_eq!(o.op(o.getfield), Op::Getfield);
+        assert_eq!(o.op(o.getfield_quick_w), Op::GetfieldQuick);
+        assert_eq!(o.op(o.getfield_quick_b), Op::GetfieldQuick);
+        assert_eq!(o.op(o.invokevirtual_quick), Op::InvokevirtualQuick);
+        assert_eq!(o.op(o.iload_3), Op::Iload);
+        assert_eq!(o.op(o.new_), Op::New);
     }
 
     #[test]

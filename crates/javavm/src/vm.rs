@@ -6,7 +6,7 @@
 use ivm_core::{GuestVm, OpId, ProgramCode, SuperSelection, VmError, VmEvents, VmOutput, VmSpec};
 
 use crate::asm::{ClassId, JavaImage};
-use crate::inst::ops;
+use crate::inst::{ops, Op};
 
 /// Default fuel for benchmark runs (VM instructions).
 pub const DEFAULT_FUEL: u64 = 200_000_000;
@@ -176,375 +176,369 @@ pub fn run(image: &JavaImage, events: &mut dyn VmEvents, fuel: u64) -> Result<Vm
         if steps > fuel {
             return Err(VmError::FuelExhausted(fuel));
         }
-        let op = cur_ops[ip];
         let operand = image.operands[ip];
+        let op = o.op(cur_ops[ip]);
 
-        let flow = if op == o.ldc {
-            stack.push(operand);
-            Flow::Next
-        } else if op == o.iload
-            || op == o.iload_0
-            || op == o.iload_1
-            || op == o.iload_2
-            || op == o.iload_3
-        {
-            let frame = frames.last().expect("frame");
-            let idx = operand as usize;
-            if idx >= frame.locals.len() {
-                return Err(VmError::BadIndex(ip, operand));
+        let flow = match op {
+            Op::Ldc => {
+                stack.push(operand);
+                Flow::Next
             }
-            stack.push(frame.locals[idx]);
-            Flow::Next
-        } else if op == o.istore
-            || op == o.istore_0
-            || op == o.istore_1
-            || op == o.istore_2
-            || op == o.istore_3
-        {
-            let v = pop!();
-            let frame = frames.last_mut().expect("frame");
-            let idx = operand as usize;
-            if idx >= frame.locals.len() {
-                return Err(VmError::BadIndex(ip, operand));
-            }
-            frame.locals[idx] = v;
-            Flow::Next
-        } else if op == o.iinc {
-            let idx = (operand >> 32) as usize;
-            let delta = i64::from(operand as u32 as i32);
-            let frame = frames.last_mut().expect("frame");
-            if idx >= frame.locals.len() {
-                return Err(VmError::BadIndex(ip, operand));
-            }
-            frame.locals[idx] = as_i32(frame.locals[idx].wrapping_add(delta));
-            Flow::Next
-        } else if op == o.pop {
-            pop!();
-            Flow::Next
-        } else if op == o.dup {
-            let a = pop!();
-            stack.push(a);
-            stack.push(a);
-            Flow::Next
-        } else if op == o.dup_x1 {
-            let b = pop!();
-            let a = pop!();
-            stack.push(b);
-            stack.push(a);
-            stack.push(b);
-            Flow::Next
-        } else if op == o.swap {
-            let b = pop!();
-            let a = pop!();
-            stack.push(b);
-            stack.push(a);
-            Flow::Next
-        } else if op == o.iadd {
-            binop!(|a: i64, b: i64| a.wrapping_add(b))
-        } else if op == o.isub {
-            binop!(|a: i64, b: i64| a.wrapping_sub(b))
-        } else if op == o.imul {
-            binop!(|a: i64, b: i64| a.wrapping_mul(b))
-        } else if op == o.idiv {
-            let b = pop!();
-            let a = pop!();
-            if b == 0 {
-                return Err(VmError::DivisionByZero(ip));
-            }
-            stack.push(as_i32(a.wrapping_div(b)));
-            Flow::Next
-        } else if op == o.irem {
-            let b = pop!();
-            let a = pop!();
-            if b == 0 {
-                return Err(VmError::DivisionByZero(ip));
-            }
-            stack.push(as_i32(a.wrapping_rem(b)));
-            Flow::Next
-        } else if op == o.ineg {
-            let a = pop!();
-            stack.push(as_i32(a.wrapping_neg()));
-            Flow::Next
-        } else if op == o.ishl {
-            binop!(|a: i64, b: i64| a.wrapping_shl(b as u32 & 31))
-        } else if op == o.ishr {
-            binop!(|a: i64, b: i64| a >> (b as u32 & 31))
-        } else if op == o.iand {
-            binop!(|a: i64, b: i64| a & b)
-        } else if op == o.ior {
-            binop!(|a: i64, b: i64| a | b)
-        } else if op == o.ixor {
-            binop!(|a: i64, b: i64| a ^ b)
-        } else if op == o.ifeq {
-            cmp0!(|a: i64| a == 0)
-        } else if op == o.ifne {
-            cmp0!(|a: i64| a != 0)
-        } else if op == o.iflt {
-            cmp0!(|a: i64| a < 0)
-        } else if op == o.ifge {
-            cmp0!(|a: i64| a >= 0)
-        } else if op == o.ifgt {
-            cmp0!(|a: i64| a > 0)
-        } else if op == o.ifle {
-            cmp0!(|a: i64| a <= 0)
-        } else if op == o.if_icmpeq {
-            cmp2!(|a: i64, b: i64| a == b)
-        } else if op == o.if_icmpne {
-            cmp2!(|a: i64, b: i64| a != b)
-        } else if op == o.if_icmplt {
-            cmp2!(|a: i64, b: i64| a < b)
-        } else if op == o.if_icmpge {
-            cmp2!(|a: i64, b: i64| a >= b)
-        } else if op == o.if_icmpgt {
-            cmp2!(|a: i64, b: i64| a > b)
-        } else if op == o.if_icmple {
-            cmp2!(|a: i64, b: i64| a <= b)
-        } else if op == o.goto_ {
-            Flow::Taken(program.target(ip).expect("goto target"))
-        } else if op == o.invokestatic {
-            let target = program.target(ip).expect("static call target");
-            let m = image
-                .methods
-                .iter()
-                .position(|m| m.entry as usize == target)
-                .expect("method at target");
-            let entry = push_frame!(m as u16, ip + 1);
-            Flow::Taken(entry)
-        } else if op == o.invokevirtual || op == o.invokevirtual_quick {
-            // Resolve by receiver class; the quick form uses the cached
-            // name's method resolution path but still dispatches on the
-            // receiver (a vtable access).
-            let name_id = operand as usize;
-            // Peek the receiver: it sits below the arguments.
-            // We must resolve the method first to know the arity.
-            // Try all classes' methods with this name: resolution requires
-            // the receiver, so scan the stack using each candidate's arity.
-            // Candidates with the same name share an arity in well-formed
-            // programs; take it from any method with that name.
-            let name = &image.names[name_id];
-            let nargs = image
-                .methods
-                .iter()
-                .find(|m| !m.is_static && &m.name == name)
-                .map(|m| m.nargs)
-                .ok_or_else(|| VmError::ResolutionFailure(ip, name.clone()))?;
-            if stack.len() < nargs + 1 {
-                return Err(VmError::StackUnderflow(ip));
-            }
-            let receiver = stack[stack.len() - nargs - 1];
-            let h = obj!(receiver);
-            let class = match &heap[h] {
-                HeapObj::Object { class, .. } => *class,
-                HeapObj::Array(_) => return Err(VmError::BadReference(ip, receiver)),
-            };
-            let m = image
-                .resolve_virtual(class, name_id)
-                .ok_or_else(|| VmError::ResolutionFailure(ip, name.clone()))?;
-            if op == o.invokevirtual {
-                quick_operand[ip] = i64::from(m);
-                cur_ops[ip] = o.invokevirtual_quick;
-                quickenings += 1;
-                events.quicken(ip, o.invokevirtual_quick);
-            }
-            let entry = push_frame!(m, ip + 1);
-            Flow::Taken(entry)
-        } else if op == o.ireturn {
-            let v = pop!();
-            let frame = frames.pop().expect("frame");
-            stack.push(v);
-            Flow::Taken(frame.ret_ip)
-        } else if op == o.return_ {
-            let frame = frames.pop().expect("frame");
-            Flow::Taken(frame.ret_ip)
-        } else if op == o.halt {
-            Flow::Halt
-        } else if op == o.newarray {
-            let len = pop!();
-            if !(0..=1 << 24).contains(&len) {
-                return Err(VmError::BadIndex(ip, len));
-            }
-            heap.push(HeapObj::Array(vec![0; len as usize]));
-            allocations += 1;
-            stack.push(heap.len() as i64);
-            Flow::Next
-        } else if op == o.iaload {
-            let idx = pop!();
-            let r = pop!();
-            let h = obj!(r);
-            match &heap[h] {
-                HeapObj::Array(a) => {
-                    if idx < 0 || idx as usize >= a.len() {
-                        return Err(VmError::BadIndex(ip, idx));
-                    }
-                    stack.push(a[idx as usize]);
+            Op::Iload => {
+                let frame = frames.last().expect("frame");
+                let idx = operand as usize;
+                if idx >= frame.locals.len() {
+                    return Err(VmError::BadIndex(ip, operand));
                 }
-                HeapObj::Object { .. } => return Err(VmError::BadReference(ip, r)),
+                stack.push(frame.locals[idx]);
+                Flow::Next
             }
-            Flow::Next
-        } else if op == o.iastore {
-            let v = pop!();
-            let idx = pop!();
-            let r = pop!();
-            let h = obj!(r);
-            match &mut heap[h] {
-                HeapObj::Array(a) => {
-                    if idx < 0 || idx as usize >= a.len() {
-                        return Err(VmError::BadIndex(ip, idx));
-                    }
-                    a[idx as usize] = as_i32(v);
+            Op::Istore => {
+                let v = pop!();
+                let frame = frames.last_mut().expect("frame");
+                let idx = operand as usize;
+                if idx >= frame.locals.len() {
+                    return Err(VmError::BadIndex(ip, operand));
                 }
-                HeapObj::Object { .. } => return Err(VmError::BadReference(ip, r)),
+                frame.locals[idx] = v;
+                Flow::Next
             }
-            Flow::Next
-        } else if op == o.arraylength {
-            let r = pop!();
-            let h = obj!(r);
-            match &heap[h] {
-                HeapObj::Array(a) => stack.push(a.len() as i64),
-                HeapObj::Object { .. } => return Err(VmError::BadReference(ip, r)),
+            Op::Iinc => {
+                let idx = (operand >> 32) as usize;
+                let delta = i64::from(operand as u32 as i32);
+                let frame = frames.last_mut().expect("frame");
+                if idx >= frame.locals.len() {
+                    return Err(VmError::BadIndex(ip, operand));
+                }
+                frame.locals[idx] = as_i32(frame.locals[idx].wrapping_add(delta));
+                Flow::Next
             }
-            Flow::Next
-        } else if op == o.tableswitch {
-            let sel = pop!();
-            let table = &image.switch_tables[operand as usize];
-            let t = if (0..table.targets.len() as i64).contains(&sel) {
-                table.targets[sel as usize]
-            } else {
-                table.default
-            };
-            Flow::Taken(t as usize)
-        } else if op == o.athrow {
-            let exn = pop!();
-            // Unwind: innermost (last-registered) handler covering the
-            // throwing site wins; otherwise pop a frame and retry at the
-            // call site, exactly like the JVM's per-frame handler search.
-            let mut site = ip;
-            let handler = loop {
-                let found = image
-                    .handlers
+            Op::Pop => {
+                pop!();
+                Flow::Next
+            }
+            Op::Dup => {
+                let a = pop!();
+                stack.push(a);
+                stack.push(a);
+                Flow::Next
+            }
+            Op::DupX1 => {
+                let b = pop!();
+                let a = pop!();
+                stack.push(b);
+                stack.push(a);
+                stack.push(b);
+                Flow::Next
+            }
+            Op::Swap => {
+                let b = pop!();
+                let a = pop!();
+                stack.push(b);
+                stack.push(a);
+                Flow::Next
+            }
+            Op::Iadd => binop!(|a: i64, b: i64| a.wrapping_add(b)),
+            Op::Isub => binop!(|a: i64, b: i64| a.wrapping_sub(b)),
+            Op::Imul => binop!(|a: i64, b: i64| a.wrapping_mul(b)),
+            Op::Idiv => {
+                let b = pop!();
+                let a = pop!();
+                if b == 0 {
+                    return Err(VmError::DivisionByZero(ip));
+                }
+                stack.push(as_i32(a.wrapping_div(b)));
+                Flow::Next
+            }
+            Op::Irem => {
+                let b = pop!();
+                let a = pop!();
+                if b == 0 {
+                    return Err(VmError::DivisionByZero(ip));
+                }
+                stack.push(as_i32(a.wrapping_rem(b)));
+                Flow::Next
+            }
+            Op::Ineg => {
+                let a = pop!();
+                stack.push(as_i32(a.wrapping_neg()));
+                Flow::Next
+            }
+            Op::Ishl => binop!(|a: i64, b: i64| a.wrapping_shl(b as u32 & 31)),
+            Op::Ishr => binop!(|a: i64, b: i64| a >> (b as u32 & 31)),
+            Op::Iand => binop!(|a: i64, b: i64| a & b),
+            Op::Ior => binop!(|a: i64, b: i64| a | b),
+            Op::Ixor => binop!(|a: i64, b: i64| a ^ b),
+            Op::Ifeq => cmp0!(|a: i64| a == 0),
+            Op::Ifne => cmp0!(|a: i64| a != 0),
+            Op::Iflt => cmp0!(|a: i64| a < 0),
+            Op::Ifge => cmp0!(|a: i64| a >= 0),
+            Op::Ifgt => cmp0!(|a: i64| a > 0),
+            Op::Ifle => cmp0!(|a: i64| a <= 0),
+            Op::IfIcmpeq => cmp2!(|a: i64, b: i64| a == b),
+            Op::IfIcmpne => cmp2!(|a: i64, b: i64| a != b),
+            Op::IfIcmplt => cmp2!(|a: i64, b: i64| a < b),
+            Op::IfIcmpge => cmp2!(|a: i64, b: i64| a >= b),
+            Op::IfIcmpgt => cmp2!(|a: i64, b: i64| a > b),
+            Op::IfIcmple => cmp2!(|a: i64, b: i64| a <= b),
+            Op::Goto => Flow::Taken(program.target(ip).expect("goto target")),
+            Op::Invokestatic => {
+                let target = program.target(ip).expect("static call target");
+                let m = image
+                    .methods
                     .iter()
-                    .rev()
-                    .find(|h| (h.from as usize) <= site && site < (h.to as usize));
-                match found {
-                    Some(h) => break Some(h.handler as usize),
-                    None => {
-                        if frames.len() > 1 {
-                            let frame = frames.pop().expect("non-empty");
-                            // The call site is the instruction before the
-                            // return address.
-                            site = frame.ret_ip.saturating_sub(1);
-                        } else {
-                            break None;
+                    .position(|m| m.entry as usize == target)
+                    .expect("method at target");
+                let entry = push_frame!(m as u16, ip + 1);
+                Flow::Taken(entry)
+            }
+            Op::Invokevirtual | Op::InvokevirtualQuick => {
+                // Resolve by receiver class; the quick form uses the cached
+                // name's method resolution path but still dispatches on the
+                // receiver (a vtable access).
+                let name_id = operand as usize;
+                // Peek the receiver: it sits below the arguments.
+                // We must resolve the method first to know the arity.
+                // Try all classes' methods with this name: resolution requires
+                // the receiver, so scan the stack using each candidate's arity.
+                // Candidates with the same name share an arity in well-formed
+                // programs; take it from any method with that name.
+                let name = &image.names[name_id];
+                let nargs = image
+                    .methods
+                    .iter()
+                    .find(|m| !m.is_static && &m.name == name)
+                    .map(|m| m.nargs)
+                    .ok_or_else(|| VmError::ResolutionFailure(ip, name.clone()))?;
+                if stack.len() < nargs + 1 {
+                    return Err(VmError::StackUnderflow(ip));
+                }
+                let receiver = stack[stack.len() - nargs - 1];
+                let h = obj!(receiver);
+                let class = match &heap[h] {
+                    HeapObj::Object { class, .. } => *class,
+                    HeapObj::Array(_) => return Err(VmError::BadReference(ip, receiver)),
+                };
+                let m = image
+                    .resolve_virtual(class, name_id)
+                    .ok_or_else(|| VmError::ResolutionFailure(ip, name.clone()))?;
+                if op == Op::Invokevirtual {
+                    quick_operand[ip] = i64::from(m);
+                    cur_ops[ip] = o.invokevirtual_quick;
+                    quickenings += 1;
+                    events.quicken(ip, o.invokevirtual_quick);
+                }
+                let entry = push_frame!(m, ip + 1);
+                Flow::Taken(entry)
+            }
+            Op::Ireturn => {
+                let v = pop!();
+                let frame = frames.pop().expect("frame");
+                stack.push(v);
+                Flow::Taken(frame.ret_ip)
+            }
+            Op::Return => {
+                let frame = frames.pop().expect("frame");
+                Flow::Taken(frame.ret_ip)
+            }
+            Op::Halt => Flow::Halt,
+            Op::Newarray => {
+                let len = pop!();
+                if !(0..=1 << 24).contains(&len) {
+                    return Err(VmError::BadIndex(ip, len));
+                }
+                heap.push(HeapObj::Array(vec![0; len as usize]));
+                allocations += 1;
+                stack.push(heap.len() as i64);
+                Flow::Next
+            }
+            Op::Iaload => {
+                let idx = pop!();
+                let r = pop!();
+                let h = obj!(r);
+                match &heap[h] {
+                    HeapObj::Array(a) => {
+                        if idx < 0 || idx as usize >= a.len() {
+                            return Err(VmError::BadIndex(ip, idx));
+                        }
+                        stack.push(a[idx as usize]);
+                    }
+                    HeapObj::Object { .. } => return Err(VmError::BadReference(ip, r)),
+                }
+                Flow::Next
+            }
+            Op::Iastore => {
+                let v = pop!();
+                let idx = pop!();
+                let r = pop!();
+                let h = obj!(r);
+                match &mut heap[h] {
+                    HeapObj::Array(a) => {
+                        if idx < 0 || idx as usize >= a.len() {
+                            return Err(VmError::BadIndex(ip, idx));
+                        }
+                        a[idx as usize] = as_i32(v);
+                    }
+                    HeapObj::Object { .. } => return Err(VmError::BadReference(ip, r)),
+                }
+                Flow::Next
+            }
+            Op::Arraylength => {
+                let r = pop!();
+                let h = obj!(r);
+                match &heap[h] {
+                    HeapObj::Array(a) => stack.push(a.len() as i64),
+                    HeapObj::Object { .. } => return Err(VmError::BadReference(ip, r)),
+                }
+                Flow::Next
+            }
+            Op::Tableswitch => {
+                let sel = pop!();
+                let table = &image.switch_tables[operand as usize];
+                let t = if (0..table.targets.len() as i64).contains(&sel) {
+                    table.targets[sel as usize]
+                } else {
+                    table.default
+                };
+                Flow::Taken(t as usize)
+            }
+            Op::Athrow => {
+                let exn = pop!();
+                // Unwind: innermost (last-registered) handler covering the
+                // throwing site wins; otherwise pop a frame and retry at the
+                // call site, exactly like the JVM's per-frame handler search.
+                let mut site = ip;
+                let handler = loop {
+                    let found = image
+                        .handlers
+                        .iter()
+                        .rev()
+                        .find(|h| (h.from as usize) <= site && site < (h.to as usize));
+                    match found {
+                        Some(h) => break Some(h.handler as usize),
+                        None => {
+                            if frames.len() > 1 {
+                                let frame = frames.pop().expect("non-empty");
+                                // The call site is the instruction before the
+                                // return address.
+                                site = frame.ret_ip.saturating_sub(1);
+                            } else {
+                                break None;
+                            }
                         }
                     }
-                }
-            };
-            match handler {
-                Some(h) => {
-                    stack.push(exn);
-                    Flow::Taken(h)
-                }
-                None => return Err(VmError::UncaughtException(ip, exn)),
-            }
-        } else if op == o.print_int {
-            let v = pop!();
-            text.push_str(&v.to_string());
-            text.push('\n');
-            Flow::Next
-        } else if op == o.getfield || op == o.getfield_quick_w || op == o.getfield_quick_b {
-            let r = pop!();
-            let h = obj!(r);
-            let off = if op == o.getfield {
-                let class = match &heap[h] {
-                    HeapObj::Object { class, .. } => *class,
-                    HeapObj::Array(_) => return Err(VmError::BadReference(ip, r)),
                 };
-                let off = image.resolve_field(class, operand as usize).ok_or_else(|| {
-                    VmError::ResolutionFailure(ip, image.names[operand as usize].clone())
-                })?;
-                quick_operand[ip] = off as i64;
-                // Word fields and "byte" fields get different quick forms
-                // (modeling the paper's multiple quick getfield variants).
-                let quick = if off % 2 == 0 { o.getfield_quick_w } else { o.getfield_quick_b };
-                cur_ops[ip] = quick;
-                quickenings += 1;
-                events.quicken(ip, quick);
-                off
-            } else {
-                quick_operand[ip] as usize
-            };
-            match &heap[h] {
-                HeapObj::Object { fields, .. } => {
-                    if off >= fields.len() {
-                        return Err(VmError::BadIndex(ip, off as i64));
+                match handler {
+                    Some(h) => {
+                        stack.push(exn);
+                        Flow::Taken(h)
                     }
-                    stack.push(fields[off]);
+                    None => return Err(VmError::UncaughtException(ip, exn)),
                 }
-                HeapObj::Array(_) => return Err(VmError::BadReference(ip, r)),
             }
-            Flow::Next
-        } else if op == o.putfield || op == o.putfield_quick_w || op == o.putfield_quick_b {
-            let v = pop!();
-            let r = pop!();
-            let h = obj!(r);
-            let off = if op == o.putfield {
-                let class = match &heap[h] {
-                    HeapObj::Object { class, .. } => *class,
-                    HeapObj::Array(_) => return Err(VmError::BadReference(ip, r)),
+            Op::PrintInt => {
+                let v = pop!();
+                text.push_str(&v.to_string());
+                text.push('\n');
+                Flow::Next
+            }
+            Op::Getfield | Op::GetfieldQuick => {
+                let r = pop!();
+                let h = obj!(r);
+                let off = if op == Op::Getfield {
+                    let class = match &heap[h] {
+                        HeapObj::Object { class, .. } => *class,
+                        HeapObj::Array(_) => return Err(VmError::BadReference(ip, r)),
+                    };
+                    let off = image.resolve_field(class, operand as usize).ok_or_else(|| {
+                        VmError::ResolutionFailure(ip, image.names[operand as usize].clone())
+                    })?;
+                    quick_operand[ip] = off as i64;
+                    // Word fields and "byte" fields get different quick forms
+                    // (modeling the paper's multiple quick getfield variants).
+                    let quick = if off % 2 == 0 { o.getfield_quick_w } else { o.getfield_quick_b };
+                    cur_ops[ip] = quick;
+                    quickenings += 1;
+                    events.quicken(ip, quick);
+                    off
+                } else {
+                    quick_operand[ip] as usize
                 };
-                let off = image.resolve_field(class, operand as usize).ok_or_else(|| {
-                    VmError::ResolutionFailure(ip, image.names[operand as usize].clone())
-                })?;
-                quick_operand[ip] = off as i64;
-                let quick = if off % 2 == 0 { o.putfield_quick_w } else { o.putfield_quick_b };
-                cur_ops[ip] = quick;
-                quickenings += 1;
-                events.quicken(ip, quick);
-                off
-            } else {
-                quick_operand[ip] as usize
-            };
-            match &mut heap[h] {
-                HeapObj::Object { fields, .. } => {
-                    if off >= fields.len() {
-                        return Err(VmError::BadIndex(ip, off as i64));
+                match &heap[h] {
+                    HeapObj::Object { fields, .. } => {
+                        if off >= fields.len() {
+                            return Err(VmError::BadIndex(ip, off as i64));
+                        }
+                        stack.push(fields[off]);
                     }
-                    fields[off] = v;
+                    HeapObj::Array(_) => return Err(VmError::BadReference(ip, r)),
                 }
-                HeapObj::Array(_) => return Err(VmError::BadReference(ip, r)),
+                Flow::Next
             }
-            Flow::Next
-        } else if op == o.getstatic || op == o.getstatic_quick {
-            if op == o.getstatic {
-                cur_ops[ip] = o.getstatic_quick;
-                quickenings += 1;
-                events.quicken(ip, o.getstatic_quick);
+            Op::Putfield | Op::PutfieldQuick => {
+                let v = pop!();
+                let r = pop!();
+                let h = obj!(r);
+                let off = if op == Op::Putfield {
+                    let class = match &heap[h] {
+                        HeapObj::Object { class, .. } => *class,
+                        HeapObj::Array(_) => return Err(VmError::BadReference(ip, r)),
+                    };
+                    let off = image.resolve_field(class, operand as usize).ok_or_else(|| {
+                        VmError::ResolutionFailure(ip, image.names[operand as usize].clone())
+                    })?;
+                    quick_operand[ip] = off as i64;
+                    let quick = if off % 2 == 0 { o.putfield_quick_w } else { o.putfield_quick_b };
+                    cur_ops[ip] = quick;
+                    quickenings += 1;
+                    events.quicken(ip, quick);
+                    off
+                } else {
+                    quick_operand[ip] as usize
+                };
+                match &mut heap[h] {
+                    HeapObj::Object { fields, .. } => {
+                        if off >= fields.len() {
+                            return Err(VmError::BadIndex(ip, off as i64));
+                        }
+                        fields[off] = v;
+                    }
+                    HeapObj::Array(_) => return Err(VmError::BadReference(ip, r)),
+                }
+                Flow::Next
             }
-            stack.push(statics[operand as usize]);
-            Flow::Next
-        } else if op == o.putstatic || op == o.putstatic_quick {
-            if op == o.putstatic {
-                cur_ops[ip] = o.putstatic_quick;
-                quickenings += 1;
-                events.quicken(ip, o.putstatic_quick);
+            Op::Getstatic | Op::GetstaticQuick => {
+                if op == Op::Getstatic {
+                    cur_ops[ip] = o.getstatic_quick;
+                    quickenings += 1;
+                    events.quicken(ip, o.getstatic_quick);
+                }
+                stack.push(statics[operand as usize]);
+                Flow::Next
             }
-            let v = pop!();
-            statics[operand as usize] = v;
-            Flow::Next
-        } else if op == o.new_ || op == o.new_quick {
-            if op == o.new_ {
-                cur_ops[ip] = o.new_quick;
-                quickenings += 1;
-                events.quicken(ip, o.new_quick);
+            Op::Putstatic | Op::PutstaticQuick => {
+                if op == Op::Putstatic {
+                    cur_ops[ip] = o.putstatic_quick;
+                    quickenings += 1;
+                    events.quicken(ip, o.putstatic_quick);
+                }
+                let v = pop!();
+                statics[operand as usize] = v;
+                Flow::Next
             }
-            let class = operand as ClassId;
-            let size = image.instance_size(class);
-            heap.push(HeapObj::Object { class, fields: vec![0; size] });
-            allocations += 1;
-            stack.push(heap.len() as i64);
-            Flow::Next
-        } else {
-            unreachable!("unhandled java op {}", o.spec.name(op));
+            Op::New | Op::NewQuick => {
+                if op == Op::New {
+                    cur_ops[ip] = o.new_quick;
+                    quickenings += 1;
+                    events.quicken(ip, o.new_quick);
+                }
+                let class = operand as ClassId;
+                let size = image.instance_size(class);
+                heap.push(HeapObj::Object { class, fields: vec![0; size] });
+                allocations += 1;
+                stack.push(heap.len() as i64);
+                Flow::Next
+            }
         };
 
         match flow {

@@ -82,6 +82,12 @@ pub trait FetchCache {
 
 /// A set-associative instruction cache with true-LRU replacement.
 ///
+/// The ways of all sets live in two flat arrays, `sets × assoc` long and
+/// set-major: a line tag and the tick of its last touch per way. Ticks
+/// start at 1, so a stamp of 0 marks an empty way. A miss fills the way
+/// with the smallest stamp, the first one on ties: the first empty way
+/// while the set has one, the least recently used way once it is full.
+///
 /// # Examples
 ///
 /// ```
@@ -94,9 +100,12 @@ pub trait FetchCache {
 #[derive(Debug, Clone)]
 pub struct Icache {
     config: IcacheConfig,
-    /// `sets[i]` holds the line tags resident in set `i`.
-    sets: Vec<Vec<(Addr, u64)>>,
+    /// Line tag per way (meaningless where the stamp is 0).
+    tags: Vec<Addr>,
+    /// Last-touch tick per way; 0 = empty.
+    stamps: Vec<u64>,
     line_bits: u32,
+    set_mask: usize,
     accesses: u64,
     misses: u64,
     /// `set_misses[i]` counts the misses charged to set `i`.
@@ -115,8 +124,10 @@ impl Icache {
         let sets = config.sets();
         Self {
             config,
-            sets: vec![Vec::with_capacity(config.assoc); sets],
+            tags: vec![0; sets * config.assoc],
+            stamps: vec![0; sets * config.assoc],
             line_bits: config.line_size.trailing_zeros(),
+            set_mask: sets - 1,
             accesses: 0,
             misses: 0,
             set_misses: vec![0; sets],
@@ -129,28 +140,32 @@ impl Icache {
         self.config
     }
 
+    #[inline]
     fn touch_line(&mut self, line: Addr) -> bool {
         self.tick += 1;
         self.accesses += 1;
-        let set_count = self.sets.len();
-        let set_idx = (line as usize) & (set_count - 1);
-        let set = &mut self.sets[set_idx];
-        if let Some(entry) = set.iter_mut().find(|(tag, _)| *tag == line) {
-            entry.1 = self.tick;
-            return false;
+        let set = (line as usize) & self.set_mask;
+        let ways = set * self.config.assoc..(set + 1) * self.config.assoc;
+        let tags = &mut self.tags[ways.clone()];
+        let stamps = &mut self.stamps[ways];
+        for way in 0..tags.len() {
+            if tags[way] == line && stamps[way] != 0 {
+                stamps[way] = self.tick;
+                return false;
+            }
+        }
+        // The first way with the smallest stamp: the first empty way, or
+        // the least recently used one.
+        let mut victim = 0;
+        for way in 1..stamps.len() {
+            if stamps[way] < stamps[victim] {
+                victim = way;
+            }
         }
         self.misses += 1;
-        self.set_misses[set_idx] += 1;
-        if set.len() == self.config.assoc {
-            let victim = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, lru))| *lru)
-                .map(|(i, _)| i)
-                .expect("full set is non-empty");
-            set.swap_remove(victim);
-        }
-        set.push((line, self.tick));
+        self.set_misses[set] += 1;
+        tags[victim] = line;
+        stamps[victim] = self.tick;
         true
     }
 }
@@ -180,12 +195,10 @@ impl FetchCache for Icache {
     }
 
     fn reset(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
+        self.stamps.fill(0);
         self.accesses = 0;
         self.misses = 0;
-        self.set_misses.iter_mut().for_each(|m| *m = 0);
+        self.set_misses.fill(0);
         self.tick = 0;
     }
 
@@ -203,7 +216,10 @@ impl FetchCache for Icache {
     }
 
     fn set_occupancy(&self) -> Vec<u32> {
-        self.sets.iter().map(|s| s.len() as u32).collect()
+        self.stamps
+            .chunks(self.config.assoc)
+            .map(|ways| ways.iter().filter(|&&stamp| stamp != 0).count() as u32)
+            .collect()
     }
 }
 

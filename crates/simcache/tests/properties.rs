@@ -107,3 +107,98 @@ fn cycles_linear() {
         Ok(())
     });
 }
+
+/// The nested-`Vec` true-LRU I-cache that [`Icache`]'s flat tag and
+/// stamp arrays replaced, kept as the reference model.
+struct ReferenceIcache {
+    sets: Vec<Vec<(u64, u64)>>,
+    assoc: usize,
+    line_bits: u32,
+    accesses: u64,
+    misses: u64,
+    set_misses: Vec<u64>,
+    tick: u64,
+}
+
+impl ReferenceIcache {
+    fn new(config: IcacheConfig) -> Self {
+        let sets = config.sets();
+        Self {
+            sets: vec![Vec::new(); sets],
+            assoc: config.assoc,
+            line_bits: config.line_size.trailing_zeros(),
+            accesses: 0,
+            misses: 0,
+            set_misses: vec![0; sets],
+            tick: 0,
+        }
+    }
+
+    fn fetch(&mut self, addr: u64, len: u32) -> u64 {
+        if len == 0 {
+            return 0;
+        }
+        let mut misses = 0;
+        for line in addr >> self.line_bits..=(addr + u64::from(len) - 1) >> self.line_bits {
+            self.tick += 1;
+            self.accesses += 1;
+            let idx = line as usize & (self.sets.len() - 1);
+            let set = &mut self.sets[idx];
+            if let Some(entry) = set.iter_mut().find(|(tag, _)| *tag == line) {
+                entry.1 = self.tick;
+                continue;
+            }
+            misses += 1;
+            self.set_misses[idx] += 1;
+            if set.len() == self.assoc {
+                let lru = (0..set.len()).min_by_key(|&i| set[i].1).expect("full set");
+                set.swap_remove(lru);
+            }
+            set.push((line, self.tick));
+        }
+        self.misses += misses;
+        misses
+    }
+}
+
+/// The flat [`Icache`] (and the trace cache built on it) agrees with the
+/// nested-`Vec` true-LRU reference after every fetch: per-fetch misses,
+/// totals, per-set misses and per-set occupancy.
+#[test]
+fn icache_matches_reference_lru() {
+    prop::check("icache_matches_reference_lru", prop::Config::from_env(), |src| {
+        // Fetches over 4x the largest capacity, half of them revisiting an
+        // earlier address, so the stream mixes hits, cold and conflict
+        // misses.
+        let mut stream: Vec<(u64, u32)> = Vec::new();
+        for _ in 0..src.int_in(1usize..600) {
+            let fetch = if !stream.is_empty() && src.bool() {
+                src.pick(&stream)
+            } else {
+                (src.int_in(0u64..192 * 1024), src.int_in(0u32..96))
+            };
+            stream.push(fetch);
+        }
+        let tiny = IcacheConfig { capacity: 1024, line_size: 32, assoc: 2 };
+        let p4 = IcacheConfig { capacity: 48 * 1024, line_size: 32, assoc: 6 };
+        let cases: [(Box<dyn FetchCache>, IcacheConfig); 3] = [
+            (Box::new(Icache::new(IcacheConfig::celeron_l1i())), IcacheConfig::celeron_l1i()),
+            (Box::new(TraceCache::pentium4()), p4),
+            (Box::new(Icache::new(tiny)), tiny),
+        ];
+        for (mut cache, config) in cases {
+            let mut reference = ReferenceIcache::new(config);
+            for (i, &(addr, len)) in stream.iter().enumerate() {
+                let what = format!("{} fetch {i} ({addr:#x}, {len})", cache.describe());
+                prop_assert_eq!(cache.fetch(addr, len), reference.fetch(addr, len), "{}", what);
+                prop_assert_eq!(cache.misses(), reference.misses, "{}", what);
+                prop_assert_eq!(cache.accesses(), reference.accesses, "{}", what);
+                prop_assert_eq!(cache.set_misses(), reference.set_misses.clone(), "{}", what);
+                let occupancy: Vec<u32> =
+                    reference.sets.iter().map(|set| set.len() as u32).collect();
+                prop_assert_eq!(cache.set_occupancy(), occupancy, "{}", what);
+            }
+        }
+        Ok(())
+    });
+}
