@@ -82,57 +82,37 @@ impl CalcOps {
 
 fn build() -> CalcOps {
     let mut b = VmSpec::builder("calc");
-    let push = b.inst("push", NativeSpec::new(3, 10, InstKind::Plain));
-    let add = b.inst("add", NativeSpec::new(2, 6, InstKind::Plain));
-    let sub = b.inst("sub", NativeSpec::new(2, 6, InstKind::Plain));
-    let mul = b.inst("mul", NativeSpec::new(3, 8, InstKind::Plain));
-    let div = b.inst("div", NativeSpec::new(6, 14, InstKind::Plain));
-    let mod_ = b.inst("mod", NativeSpec::new(6, 14, InstKind::Plain));
-    let neg = b.inst("neg", NativeSpec::new(2, 6, InstKind::Plain));
-    let dup = b.inst("dup", NativeSpec::new(2, 6, InstKind::Plain));
-    let drop = b.inst("drop", NativeSpec::new(1, 4, InstKind::Plain));
-    let swap = b.inst("swap", NativeSpec::new(3, 8, InstKind::Plain));
-    let over = b.inst("over", NativeSpec::new(2, 7, InstKind::Plain));
-    let lt = b.inst("lt", NativeSpec::new(4, 10, InstKind::Plain));
-    let eq = b.inst("eq", NativeSpec::new(4, 10, InstKind::Plain));
-    let load = b.inst("load", NativeSpec::new(2, 7, InstKind::Plain));
-    let store = b.inst("store", NativeSpec::new(3, 9, InstKind::Plain));
-    let print = b.inst("print", NativeSpec::new(5, 15, InstKind::Plain).non_relocatable());
-    let jmp = b.inst("jmp", NativeSpec::new(1, 5, InstKind::Jump));
-    let jz = b.inst("jz", NativeSpec::new(3, 9, InstKind::CondBranch));
-    let jnz = b.inst("jnz", NativeSpec::new(3, 9, InstKind::CondBranch));
-    let call = b.inst("call", NativeSpec::new(4, 12, InstKind::Call));
-    let ret = b.inst("ret", NativeSpec::new(3, 9, InstKind::Return));
-    let halt = b.inst("halt", NativeSpec::new(1, 4, InstKind::Return));
+    // Each opcode's kind is recorded where the opcode is defined.
+    let mut ops = Vec::new();
+    let mut inst = |name: &str, native, op| {
+        let id = b.inst(name, native);
+        assert_eq!(usize::from(id), ops.len(), "opcode ids are dense");
+        ops.push(op);
+        id
+    };
+    let push = inst("push", NativeSpec::new(3, 10, InstKind::Plain), Op::Push);
+    let add = inst("add", NativeSpec::new(2, 6, InstKind::Plain), Op::Add);
+    let sub = inst("sub", NativeSpec::new(2, 6, InstKind::Plain), Op::Sub);
+    let mul = inst("mul", NativeSpec::new(3, 8, InstKind::Plain), Op::Mul);
+    let div = inst("div", NativeSpec::new(6, 14, InstKind::Plain), Op::Div);
+    let mod_ = inst("mod", NativeSpec::new(6, 14, InstKind::Plain), Op::Mod);
+    let neg = inst("neg", NativeSpec::new(2, 6, InstKind::Plain), Op::Neg);
+    let dup = inst("dup", NativeSpec::new(2, 6, InstKind::Plain), Op::Dup);
+    let drop = inst("drop", NativeSpec::new(1, 4, InstKind::Plain), Op::Drop);
+    let swap = inst("swap", NativeSpec::new(3, 8, InstKind::Plain), Op::Swap);
+    let over = inst("over", NativeSpec::new(2, 7, InstKind::Plain), Op::Over);
+    let lt = inst("lt", NativeSpec::new(4, 10, InstKind::Plain), Op::Lt);
+    let eq = inst("eq", NativeSpec::new(4, 10, InstKind::Plain), Op::Eq);
+    let load = inst("load", NativeSpec::new(2, 7, InstKind::Plain), Op::Load);
+    let store = inst("store", NativeSpec::new(3, 9, InstKind::Plain), Op::Store);
+    let print = inst("print", NativeSpec::new(5, 15, InstKind::Plain).non_relocatable(), Op::Print);
+    let jmp = inst("jmp", NativeSpec::new(1, 5, InstKind::Jump), Op::Jmp);
+    let jz = inst("jz", NativeSpec::new(3, 9, InstKind::CondBranch), Op::Jz);
+    let jnz = inst("jnz", NativeSpec::new(3, 9, InstKind::CondBranch), Op::Jnz);
+    let call = inst("call", NativeSpec::new(4, 12, InstKind::Call), Op::Call);
+    let ret = inst("ret", NativeSpec::new(3, 9, InstKind::Return), Op::Ret);
+    let halt = inst("halt", NativeSpec::new(1, 4, InstKind::Return), Op::Halt);
     let spec = b.build();
-    let mut ops = vec![None; spec.len()];
-    for (id, op) in [
-        (push, Op::Push),
-        (add, Op::Add),
-        (sub, Op::Sub),
-        (mul, Op::Mul),
-        (div, Op::Div),
-        (mod_, Op::Mod),
-        (neg, Op::Neg),
-        (dup, Op::Dup),
-        (drop, Op::Drop),
-        (swap, Op::Swap),
-        (over, Op::Over),
-        (lt, Op::Lt),
-        (eq, Op::Eq),
-        (load, Op::Load),
-        (store, Op::Store),
-        (print, Op::Print),
-        (jmp, Op::Jmp),
-        (jz, Op::Jz),
-        (jnz, Op::Jnz),
-        (call, Op::Call),
-        (ret, Op::Ret),
-        (halt, Op::Halt),
-    ] {
-        ops[usize::from(id)] = Some(op);
-    }
-    let ops = ops.into_iter().map(|op| op.expect("every opcode has a kind")).collect();
     CalcOps {
         push,
         add,

@@ -15,7 +15,7 @@ use ivm_cache::CpuSpec;
 use ivm_harness::span;
 
 use crate::engine::{Engine, RunResult, Runner};
-use crate::events::{Measurement, Tee, VmEvents};
+use crate::events::{Measurement, NullEvents, Tee, VmEvents};
 use crate::guest::{GuestVm, VmError, VmOutput};
 use crate::profile::{Profile, ProfileCollector};
 use crate::technique::Technique;
@@ -79,18 +79,17 @@ pub fn measure_with<G: GuestVm + ?Sized>(
     engine: Engine,
     training: Option<&Profile>,
 ) -> Result<(RunResult, VmOutput), VmError> {
-    let mut measurement = measurement(vm, technique, engine, training);
-    let output = {
-        let _span = span::enter("execute");
-        vm.execute(&mut measurement, vm.default_fuel())?
-    };
-    Ok((measurement.finish(), output))
+    measure_observed(vm, technique, engine, training, &mut NullEvents)
 }
 
 /// Like [`measure_with`], but tees the run's [`VmEvents`] stream into
 /// `extra` as well — the hook for attaching a profiler or an
 /// [`ExecutionTrace`] recorder to a measured run without the VM crate
 /// depending on it.
+///
+/// Generic over the extra sink, so the tee monomorphizes: with
+/// [`NullEvents`] its calls inline away and a plain [`measure_with`] run
+/// pays one virtual call per VM step, into the tee.
 ///
 /// # Errors
 ///
@@ -99,12 +98,12 @@ pub fn measure_with<G: GuestVm + ?Sized>(
 /// # Panics
 ///
 /// Panics if `technique` needs a profile and `training` is `None`.
-pub fn measure_observed<G: GuestVm + ?Sized>(
+pub fn measure_observed<G: GuestVm + ?Sized, E: VmEvents + ?Sized>(
     vm: &G,
     technique: Technique,
     engine: Engine,
     training: Option<&Profile>,
-    extra: &mut dyn VmEvents,
+    extra: &mut E,
 ) -> Result<(RunResult, VmOutput), VmError> {
     let mut measurement = measurement(vm, technique, engine, training);
     let mut tee = Tee { a: &mut measurement, b: extra };

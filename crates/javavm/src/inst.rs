@@ -179,161 +179,124 @@ impl JavaOps {
     }
 }
 
+/// Records `op` as the kind of the opcode `id` just defined.
+fn dense(ops: &mut Vec<Op>, id: OpId, op: Op) -> OpId {
+    assert_eq!(usize::from(id), ops.len(), "opcode ids are dense");
+    ops.push(op);
+    id
+}
+
 fn build() -> JavaOps {
     let mut b = VmSpec::builder("java");
+    // Each opcode's kind is recorded where the opcode is defined.
+    let mut ops = Vec::new();
+    let mut inst = |name: &str, native, op| {
+        let id = b.inst(name, native);
+        dense(&mut ops, id, op)
+    };
     // No TOS register caching (paper §7.2.2), so even simple instructions
     // touch memory: slightly heavier than the Forth equivalents.
-    let ldc = b.inst("ldc", NativeSpec::new(6, 18, InstKind::Plain));
-    let iload = b.inst("iload", NativeSpec::new(7, 20, InstKind::Plain));
-    let iload_0 = b.inst("iload_0", NativeSpec::new(6, 16, InstKind::Plain));
-    let iload_1 = b.inst("iload_1", NativeSpec::new(6, 16, InstKind::Plain));
-    let iload_2 = b.inst("iload_2", NativeSpec::new(6, 16, InstKind::Plain));
-    let iload_3 = b.inst("iload_3", NativeSpec::new(6, 16, InstKind::Plain));
-    let istore = b.inst("istore", NativeSpec::new(7, 20, InstKind::Plain));
-    let istore_0 = b.inst("istore_0", NativeSpec::new(6, 16, InstKind::Plain));
-    let istore_1 = b.inst("istore_1", NativeSpec::new(6, 16, InstKind::Plain));
-    let istore_2 = b.inst("istore_2", NativeSpec::new(6, 16, InstKind::Plain));
-    let istore_3 = b.inst("istore_3", NativeSpec::new(6, 16, InstKind::Plain));
-    let iinc = b.inst("iinc", NativeSpec::new(8, 24, InstKind::Plain));
-    let pop = b.inst("pop", NativeSpec::new(3, 8, InstKind::Plain));
-    let dup = b.inst("dup", NativeSpec::new(5, 14, InstKind::Plain));
-    let dup_x1 = b.inst("dup_x1", NativeSpec::new(8, 22, InstKind::Plain));
-    let swap = b.inst("swap", NativeSpec::new(7, 18, InstKind::Plain));
-    let iadd = b.inst("iadd", NativeSpec::new(6, 16, InstKind::Plain));
-    let isub = b.inst("isub", NativeSpec::new(6, 16, InstKind::Plain));
-    let imul = b.inst("imul", NativeSpec::new(7, 18, InstKind::Plain));
-    let idiv = b.inst("idiv", NativeSpec::new(14, 30, InstKind::Plain));
-    let irem = b.inst("irem", NativeSpec::new(14, 30, InstKind::Plain));
-    let ineg = b.inst("ineg", NativeSpec::new(5, 12, InstKind::Plain));
-    let ishl = b.inst("ishl", NativeSpec::new(7, 16, InstKind::Plain));
-    let ishr = b.inst("ishr", NativeSpec::new(7, 16, InstKind::Plain));
-    let iand = b.inst("iand", NativeSpec::new(6, 16, InstKind::Plain));
-    let ior = b.inst("ior", NativeSpec::new(6, 16, InstKind::Plain));
-    let ixor = b.inst("ixor", NativeSpec::new(6, 16, InstKind::Plain));
-    let ifeq = b.inst("ifeq", NativeSpec::new(8, 24, InstKind::CondBranch));
-    let ifne = b.inst("ifne", NativeSpec::new(8, 24, InstKind::CondBranch));
-    let iflt = b.inst("iflt", NativeSpec::new(8, 24, InstKind::CondBranch));
-    let ifge = b.inst("ifge", NativeSpec::new(8, 24, InstKind::CondBranch));
-    let ifgt = b.inst("ifgt", NativeSpec::new(8, 24, InstKind::CondBranch));
-    let ifle = b.inst("ifle", NativeSpec::new(8, 24, InstKind::CondBranch));
-    let if_icmpeq = b.inst("if_icmpeq", NativeSpec::new(9, 26, InstKind::CondBranch));
-    let if_icmpne = b.inst("if_icmpne", NativeSpec::new(9, 26, InstKind::CondBranch));
-    let if_icmplt = b.inst("if_icmplt", NativeSpec::new(9, 26, InstKind::CondBranch));
-    let if_icmpge = b.inst("if_icmpge", NativeSpec::new(9, 26, InstKind::CondBranch));
-    let if_icmpgt = b.inst("if_icmpgt", NativeSpec::new(9, 26, InstKind::CondBranch));
-    let if_icmple = b.inst("if_icmple", NativeSpec::new(9, 26, InstKind::CondBranch));
-    let goto_ = b.inst("goto", NativeSpec::new(4, 12, InstKind::Jump));
-    let invokestatic = b.inst("invokestatic", NativeSpec::new(34, 70, InstKind::Call));
-    let ireturn = b.inst("ireturn", NativeSpec::new(22, 48, InstKind::Return));
-    let return_ = b.inst("return", NativeSpec::new(20, 44, InstKind::Return));
-    let halt = b.inst("(halt)", NativeSpec::new(1, 4, InstKind::Return));
+    let ldc = inst("ldc", NativeSpec::new(6, 18, InstKind::Plain), Op::Ldc);
+    let iload = inst("iload", NativeSpec::new(7, 20, InstKind::Plain), Op::Iload);
+    let iload_0 = inst("iload_0", NativeSpec::new(6, 16, InstKind::Plain), Op::Iload);
+    let iload_1 = inst("iload_1", NativeSpec::new(6, 16, InstKind::Plain), Op::Iload);
+    let iload_2 = inst("iload_2", NativeSpec::new(6, 16, InstKind::Plain), Op::Iload);
+    let iload_3 = inst("iload_3", NativeSpec::new(6, 16, InstKind::Plain), Op::Iload);
+    let istore = inst("istore", NativeSpec::new(7, 20, InstKind::Plain), Op::Istore);
+    let istore_0 = inst("istore_0", NativeSpec::new(6, 16, InstKind::Plain), Op::Istore);
+    let istore_1 = inst("istore_1", NativeSpec::new(6, 16, InstKind::Plain), Op::Istore);
+    let istore_2 = inst("istore_2", NativeSpec::new(6, 16, InstKind::Plain), Op::Istore);
+    let istore_3 = inst("istore_3", NativeSpec::new(6, 16, InstKind::Plain), Op::Istore);
+    let iinc = inst("iinc", NativeSpec::new(8, 24, InstKind::Plain), Op::Iinc);
+    let pop = inst("pop", NativeSpec::new(3, 8, InstKind::Plain), Op::Pop);
+    let dup = inst("dup", NativeSpec::new(5, 14, InstKind::Plain), Op::Dup);
+    let dup_x1 = inst("dup_x1", NativeSpec::new(8, 22, InstKind::Plain), Op::DupX1);
+    let swap = inst("swap", NativeSpec::new(7, 18, InstKind::Plain), Op::Swap);
+    let iadd = inst("iadd", NativeSpec::new(6, 16, InstKind::Plain), Op::Iadd);
+    let isub = inst("isub", NativeSpec::new(6, 16, InstKind::Plain), Op::Isub);
+    let imul = inst("imul", NativeSpec::new(7, 18, InstKind::Plain), Op::Imul);
+    let idiv = inst("idiv", NativeSpec::new(14, 30, InstKind::Plain), Op::Idiv);
+    let irem = inst("irem", NativeSpec::new(14, 30, InstKind::Plain), Op::Irem);
+    let ineg = inst("ineg", NativeSpec::new(5, 12, InstKind::Plain), Op::Ineg);
+    let ishl = inst("ishl", NativeSpec::new(7, 16, InstKind::Plain), Op::Ishl);
+    let ishr = inst("ishr", NativeSpec::new(7, 16, InstKind::Plain), Op::Ishr);
+    let iand = inst("iand", NativeSpec::new(6, 16, InstKind::Plain), Op::Iand);
+    let ior = inst("ior", NativeSpec::new(6, 16, InstKind::Plain), Op::Ior);
+    let ixor = inst("ixor", NativeSpec::new(6, 16, InstKind::Plain), Op::Ixor);
+    let ifeq = inst("ifeq", NativeSpec::new(8, 24, InstKind::CondBranch), Op::Ifeq);
+    let ifne = inst("ifne", NativeSpec::new(8, 24, InstKind::CondBranch), Op::Ifne);
+    let iflt = inst("iflt", NativeSpec::new(8, 24, InstKind::CondBranch), Op::Iflt);
+    let ifge = inst("ifge", NativeSpec::new(8, 24, InstKind::CondBranch), Op::Ifge);
+    let ifgt = inst("ifgt", NativeSpec::new(8, 24, InstKind::CondBranch), Op::Ifgt);
+    let ifle = inst("ifle", NativeSpec::new(8, 24, InstKind::CondBranch), Op::Ifle);
+    let if_icmpeq = inst("if_icmpeq", NativeSpec::new(9, 26, InstKind::CondBranch), Op::IfIcmpeq);
+    let if_icmpne = inst("if_icmpne", NativeSpec::new(9, 26, InstKind::CondBranch), Op::IfIcmpne);
+    let if_icmplt = inst("if_icmplt", NativeSpec::new(9, 26, InstKind::CondBranch), Op::IfIcmplt);
+    let if_icmpge = inst("if_icmpge", NativeSpec::new(9, 26, InstKind::CondBranch), Op::IfIcmpge);
+    let if_icmpgt = inst("if_icmpgt", NativeSpec::new(9, 26, InstKind::CondBranch), Op::IfIcmpgt);
+    let if_icmple = inst("if_icmple", NativeSpec::new(9, 26, InstKind::CondBranch), Op::IfIcmple);
+    let goto_ = inst("goto", NativeSpec::new(4, 12, InstKind::Jump), Op::Goto);
+    let invokestatic =
+        inst("invokestatic", NativeSpec::new(34, 70, InstKind::Call), Op::Invokestatic);
+    let ireturn = inst("ireturn", NativeSpec::new(22, 48, InstKind::Return), Op::Ireturn);
+    let return_ = inst("return", NativeSpec::new(20, 44, InstKind::Return), Op::Return);
+    let halt = inst("(halt)", NativeSpec::new(1, 4, InstKind::Return), Op::Halt);
     // Array allocation calls the runtime through a function pointer, which
     // keeps it relocatable (paper §5.3); the work includes amortized GC.
-    let newarray = b.inst("newarray", NativeSpec::new(180, 160, InstKind::Plain));
-    let iaload = b.inst("iaload", NativeSpec::new(11, 28, InstKind::Plain));
-    let iastore = b.inst("iastore", NativeSpec::new(12, 30, InstKind::Plain));
-    let arraylength = b.inst("arraylength", NativeSpec::new(7, 16, InstKind::Plain));
-    let print_int =
-        b.inst("print_int", NativeSpec::new(260, 220, InstKind::Plain).non_relocatable());
+    let newarray = inst("newarray", NativeSpec::new(180, 160, InstKind::Plain), Op::Newarray);
+    let iaload = inst("iaload", NativeSpec::new(11, 28, InstKind::Plain), Op::Iaload);
+    let iastore = inst("iastore", NativeSpec::new(12, 30, InstKind::Plain), Op::Iastore);
+    let arraylength = inst("arraylength", NativeSpec::new(7, 16, InstKind::Plain), Op::Arraylength);
+    let print_int = inst(
+        "print_int",
+        NativeSpec::new(260, 220, InstKind::Plain).non_relocatable(),
+        Op::PrintInt,
+    );
     // athrow's unwinding work runs in the runtime; the routine itself is
     // kept relocatable via an indirect branch to the throw code (§5.3).
-    let athrow = b.inst("athrow", NativeSpec::new(90, 120, InstKind::Return));
+    let athrow = inst("athrow", NativeSpec::new(90, 120, InstKind::Return), Op::Athrow);
     // tableswitch: bounds check + table load + indirect jump; the targets
     // are dynamic per execution, so it is modeled like a return (no static
     // target, never falls through).
-    let tableswitch = b.inst("tableswitch", NativeSpec::new(9, 26, InstKind::Return));
+    let tableswitch =
+        inst("tableswitch", NativeSpec::new(9, 26, InstKind::Return), Op::Tableswitch);
     // Quick variants first (so the quickable originals can reference them).
-    let getfield_quick_w = b.inst("getfield_quick_w", NativeSpec::new(10, 26, InstKind::Plain));
-    let getfield_quick_b = b.inst("getfield_quick_b", NativeSpec::new(12, 32, InstKind::Plain));
-    let putfield_quick_w = b.inst("putfield_quick_w", NativeSpec::new(11, 28, InstKind::Plain));
-    let putfield_quick_b = b.inst("putfield_quick_b", NativeSpec::new(13, 34, InstKind::Plain));
-    let getstatic_quick = b.inst("getstatic_quick", NativeSpec::new(8, 20, InstKind::Plain));
-    let putstatic_quick = b.inst("putstatic_quick", NativeSpec::new(9, 22, InstKind::Plain));
-    let invokevirtual_quick =
-        b.inst("invokevirtual_quick", NativeSpec::new(48, 90, InstKind::Call));
-    let new_quick = b.inst("new_quick", NativeSpec::new(220, 180, InstKind::Plain));
+    let getfield_quick_w =
+        inst("getfield_quick_w", NativeSpec::new(10, 26, InstKind::Plain), Op::GetfieldQuick);
+    let getfield_quick_b =
+        inst("getfield_quick_b", NativeSpec::new(12, 32, InstKind::Plain), Op::GetfieldQuick);
+    let putfield_quick_w =
+        inst("putfield_quick_w", NativeSpec::new(11, 28, InstKind::Plain), Op::PutfieldQuick);
+    let putfield_quick_b =
+        inst("putfield_quick_b", NativeSpec::new(13, 34, InstKind::Plain), Op::PutfieldQuick);
+    let getstatic_quick =
+        inst("getstatic_quick", NativeSpec::new(8, 20, InstKind::Plain), Op::GetstaticQuick);
+    let putstatic_quick =
+        inst("putstatic_quick", NativeSpec::new(9, 22, InstKind::Plain), Op::PutstaticQuick);
+    let invokevirtual_quick = inst(
+        "invokevirtual_quick",
+        NativeSpec::new(48, 90, InstKind::Call),
+        Op::InvokevirtualQuick,
+    );
+    let new_quick = inst("new_quick", NativeSpec::new(220, 180, InstKind::Plain), Op::NewQuick);
     // Quickable originals: heavy resolution work, executed once per site,
     // never copied (treated as non-relocatable, paper §5.4).
     let q = |i, by| NativeSpec::new(i, by, InstKind::Plain).non_relocatable();
-    let getfield = b.quickable("getfield", q(200, 300), vec![getfield_quick_w, getfield_quick_b]);
-    let putfield = b.quickable("putfield", q(200, 300), vec![putfield_quick_w, putfield_quick_b]);
-    let getstatic = b.quickable("getstatic", q(150, 240), vec![getstatic_quick]);
-    let putstatic = b.quickable("putstatic", q(150, 240), vec![putstatic_quick]);
-    let invokevirtual = b.quickable("invokevirtual", q(260, 380), vec![invokevirtual_quick]);
-    let new_ = b.quickable("new", q(300, 420), vec![new_quick]);
+    let mut quickable = |name: &str, native, variants, op| {
+        let id = b.quickable(name, native, variants);
+        dense(&mut ops, id, op)
+    };
+    let getfield =
+        quickable("getfield", q(200, 300), vec![getfield_quick_w, getfield_quick_b], Op::Getfield);
+    let putfield =
+        quickable("putfield", q(200, 300), vec![putfield_quick_w, putfield_quick_b], Op::Putfield);
+    let getstatic = quickable("getstatic", q(150, 240), vec![getstatic_quick], Op::Getstatic);
+    let putstatic = quickable("putstatic", q(150, 240), vec![putstatic_quick], Op::Putstatic);
+    let invokevirtual =
+        quickable("invokevirtual", q(260, 380), vec![invokevirtual_quick], Op::Invokevirtual);
+    let new_ = quickable("new", q(300, 420), vec![new_quick], Op::New);
 
     let spec = b.build();
-    let mut ops = vec![None; spec.len()];
-    for (id, op) in [
-        (ldc, Op::Ldc),
-        (iload, Op::Iload),
-        (iload_0, Op::Iload),
-        (iload_1, Op::Iload),
-        (iload_2, Op::Iload),
-        (iload_3, Op::Iload),
-        (istore, Op::Istore),
-        (istore_0, Op::Istore),
-        (istore_1, Op::Istore),
-        (istore_2, Op::Istore),
-        (istore_3, Op::Istore),
-        (iinc, Op::Iinc),
-        (pop, Op::Pop),
-        (dup, Op::Dup),
-        (dup_x1, Op::DupX1),
-        (swap, Op::Swap),
-        (iadd, Op::Iadd),
-        (isub, Op::Isub),
-        (imul, Op::Imul),
-        (idiv, Op::Idiv),
-        (irem, Op::Irem),
-        (ineg, Op::Ineg),
-        (ishl, Op::Ishl),
-        (ishr, Op::Ishr),
-        (iand, Op::Iand),
-        (ior, Op::Ior),
-        (ixor, Op::Ixor),
-        (ifeq, Op::Ifeq),
-        (ifne, Op::Ifne),
-        (iflt, Op::Iflt),
-        (ifge, Op::Ifge),
-        (ifgt, Op::Ifgt),
-        (ifle, Op::Ifle),
-        (if_icmpeq, Op::IfIcmpeq),
-        (if_icmpne, Op::IfIcmpne),
-        (if_icmplt, Op::IfIcmplt),
-        (if_icmpge, Op::IfIcmpge),
-        (if_icmpgt, Op::IfIcmpgt),
-        (if_icmple, Op::IfIcmple),
-        (goto_, Op::Goto),
-        (invokestatic, Op::Invokestatic),
-        (ireturn, Op::Ireturn),
-        (return_, Op::Return),
-        (halt, Op::Halt),
-        (newarray, Op::Newarray),
-        (iaload, Op::Iaload),
-        (iastore, Op::Iastore),
-        (arraylength, Op::Arraylength),
-        (print_int, Op::PrintInt),
-        (athrow, Op::Athrow),
-        (tableswitch, Op::Tableswitch),
-        (getfield_quick_w, Op::GetfieldQuick),
-        (getfield_quick_b, Op::GetfieldQuick),
-        (putfield_quick_w, Op::PutfieldQuick),
-        (putfield_quick_b, Op::PutfieldQuick),
-        (getstatic_quick, Op::GetstaticQuick),
-        (putstatic_quick, Op::PutstaticQuick),
-        (invokevirtual_quick, Op::InvokevirtualQuick),
-        (new_quick, Op::NewQuick),
-        (getfield, Op::Getfield),
-        (putfield, Op::Putfield),
-        (getstatic, Op::Getstatic),
-        (putstatic, Op::Putstatic),
-        (invokevirtual, Op::Invokevirtual),
-        (new_, Op::New),
-    ] {
-        ops[usize::from(id)] = Some(op);
-    }
-    let ops = ops.into_iter().map(|op| op.expect("every opcode has a kind")).collect();
 
     JavaOps {
         ldc,
